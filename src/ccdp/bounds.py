@@ -159,14 +159,16 @@ def _outer2_raw(P, c2):
     return 0.5 * log2(P + c2 + 1.0) - 0.25 * log2(c2) + 0.5
 
 
-def _outer2_value(P, c2, variant):
+def _outer2_value(P, c2, stated_middle, high):
+    # stated_middle keeps -1/4*log2(c2+1) (the Th3 statement) instead of the
+    # loosened -1/4*log2(c2); high is the constant of the c2 >= P+1 branch.
     if c2 <= 1.0:
         return 0.5 * log2(P + 1.0), BR_LOW_2
     if c2 < P + 1.0:
-        if variant == THEOREM:
+        if stated_middle:
             return 0.5 * log2(P + c2 + 1.0) - 0.25 * log2(c2 + 1.0) + 0.5, BR_MIDDLE
         return _outer2_raw(P, c2), BR_MIDDLE
-    return 0.25 * log2(P + 1.0) + 1.0, BR_HIGH_2
+    return 0.25 * log2(P + 1.0) + high, BR_HIGH_2
 
 
 def ccdp2_outer(params, variant=THEOREM):
@@ -181,7 +183,7 @@ def ccdp2_outer(params, variant=THEOREM):
         return BoundResult(_outer2_raw(params.P, params.c2), "raw", RAW, params)
     if variant not in (THEOREM, APPENDIX_LOOSENED):
         raise ValueError(f"unknown variant {variant!r}")
-    value, branch = _outer2_value(params.P, params.c2, variant)
+    value, branch = _outer2_value(params.P, params.c2, variant == THEOREM, 1.0)
     return BoundResult(value, branch, variant, params)
 
 
@@ -317,17 +319,12 @@ def ccdp_es_outer(params, variant=THEOREM):
     ceff2 = params.c2 * params.rho_bar_plus
     if variant == APPENDIX_FORM:
         value, branch = _outer_m_value(M, P, ceff2, APPENDIX_FORM)
-        return BoundResult(value, branch, variant, params)
-    if variant != THEOREM:
+    elif variant != THEOREM:
         raise ValueError(f"unknown variant {variant!r}")
-    if M == 2:
-        if ceff2 <= 1.0:
-            return BoundResult(0.5 * log2(P + 1.0), BR_LOW_2, variant, params)
-        if ceff2 < P + 1.0:
-            value = 0.5 * log2(P + ceff2 + 1.0) - 0.25 * log2(ceff2) + 0.5
-            return BoundResult(value, BR_MIDDLE, variant, params)
-        return BoundResult(0.25 * log2(P + 1.0) + 0.5, BR_HIGH_2, variant, params)
-    value, branch = _outer_m_value(M, P, ceff2, THEOREM)
+    elif M == 2:
+        value, branch = _outer2_value(P, ceff2, False, 0.5)
+    else:
+        value, branch = _outer_m_value(M, P, ceff2, THEOREM)
     return BoundResult(value, branch, variant, params)
 
 

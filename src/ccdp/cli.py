@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from dataclasses import asdict
 from math import log10, sqrt
 
 import numpy as np
@@ -51,7 +52,8 @@ _POINT_OPTS = {
 
 _COMMON_OPTS = {
     "out": Opt(str, "-", "output path, '-' for stdout"),
-    "threads": Opt(int, None, "worker threads (default: CCDP_THREADS or 1)"),
+    "threads": Opt(int, None, "Monte Carlo worker threads, used by simulate "
+                              "(default: CCDP_THREADS or 1)"),
 }
 
 OPTION_TABLES = {
@@ -139,6 +141,8 @@ def resolve_config(command, flag_values, file_values):
             resolved[name] = opt.default
     if resolved.get("threads") is None:
         resolved["threads"] = int(os.environ.get("CCDP_THREADS", "1"))
+    if resolved["threads"] < 1:
+        raise CcdpError(f"threads must be >= 1, got {resolved['threads']}")
     return resolved
 
 
@@ -219,13 +223,10 @@ def _params_from(opts):
     return ChannelParams(opts["M"], opts["P"], sqrt(c2), opts["rho"])
 
 
-def _grid_from(opts, outer_variant=None):
+def _grid_from(opts):
     rho_text = opts["rho-values"]
     rho_values = None if rho_text == "feasible" else tuple(
         float(t) for t in rho_text.split(",") if t.strip())
-    variant = outer_variant or opts.get("outer-variant", bounds.APPENDIX_FORM)
-    if variant in ("appendix", bounds.APPENDIX_LOOSENED):
-        variant = bounds.APPENDIX_FORM
     return gaps.SweepGrid(
         m_values=tuple(opts["M-values"]),
         p_values=tuple(np.logspace(log10(opts["P-min"]), log10(opts["P-max"]),
@@ -234,7 +235,7 @@ def _grid_from(opts, outer_variant=None):
                                     opts["c2-points"])),
         rho_values=rho_values,
         rho_points=opts["rho-points"],
-        outer_variant=variant,
+        outer_variant=opts.get("outer-variant", bounds.APPENDIX_FORM),
     )
 
 
@@ -249,12 +250,13 @@ def _estimate_dict(est):
 
 def cmd_bounds(resolved):
     params = _params_from(resolved)
-    inner = bounds.ccdp_es_inner(params)
-    if params.M == 2 and params.rho == 0.0:
-        appendix = bounds.ccdp2_outer(params, bounds.APPENDIX_LOOSENED)
-    else:
-        appendix = bounds.ccdp_es_outer(params, bounds.APPENDIX_FORM)
-    theorem = bounds.ccdp_es_outer(params, bounds.THEOREM)
+    inner_fn, outer_fn, variant = gaps.bound_pair(params.M, params.rho,
+                                                  bounds.APPENDIX_FORM)
+    _, theorem_fn, theorem_variant = gaps.bound_pair(params.M, params.rho,
+                                                     bounds.THEOREM)
+    inner = inner_fn(params)
+    appendix = outer_fn(params, variant)
+    theorem = theorem_fn(params, theorem_variant)
     gap = appendix.value - inner.value
 
     if resolved["format"] == "json":
@@ -287,7 +289,7 @@ def cmd_bounds(resolved):
 def cmd_sweep(resolved):
     grid = _grid_from(resolved)
     print(f"sweep: {grid.size()} grid points", file=sys.stderr)
-    report = gaps.run_sweep(grid, threads=resolved["threads"])
+    report = gaps.run_sweep(grid)
     if resolved["format"] == "json":
         _write(_envelope("sweep", resolved, gaps.report_summary(report),
                          max_gap=report.max_gap, warnings=report.warnings),
@@ -306,8 +308,7 @@ def cmd_certify(resolved):
         raise CcdpError("--theorem is required (one of Th3, Th4, Th5, Th6)")
     variant = resolved["variant"]
     grid = gaps.theorem_grid(theorem, _grid_from(resolved))
-    report = gaps.certify_theorem(theorem, grid, variant_kind=variant,
-                                  threads=resolved["threads"])
+    report = gaps.certify_theorem(theorem, grid, variant_kind=variant)
     if resolved["rows-out"]:
         _write(gaps.rows_to_csv(report.rows, _meta("certify", resolved)),
                resolved["rows-out"])
@@ -403,9 +404,7 @@ def cmd_audit(resolved):
                             f"valid: {sorted(gaps.AUDIT_FAMILIES)}")
     violations = gaps.monotonicity_audit(grid, families)
     if resolved["format"] == "json":
-        results = [vars(v) if not hasattr(v, "__dataclass_fields__") else
-                   {f: getattr(v, f) for f in v.__dataclass_fields__}
-                   for v in violations]
+        results = [asdict(v) for v in violations]
         _write(_envelope("audit", resolved, results), resolved["out"])
     else:
         lines = [f"# {k}: {v}" for k, v in _meta("audit", resolved).items()]
@@ -448,7 +447,10 @@ def main(argv=None):
                 sys.stderr.write(
                     f"usage: ccdp {{{','.join(COMMANDS)}}} [options]\n")
                 return 2
-            path = argv[argv.index("--config") + 1]
+            at = argv.index("--config") + 1
+            if at == len(argv):
+                raise CcdpError("--config needs a file path")
+            path = argv[at]
             file_values = read_config_file(path)
             command = file_values.get("command")
             if command not in COMMANDS:
@@ -469,10 +471,7 @@ def main(argv=None):
             with open(ns.dump_config, "w", encoding="utf-8") as fh:
                 fh.write(dump_config_text(command, resolved))
         return _HANDLERS[command](resolved)
-    except CcdpError as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CcdpError is a ValueError
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2
 

@@ -15,11 +15,11 @@ class InvalidM(CcdpError):
 
 
 class InvalidPower(CcdpError):
-    """Transmit power must be strictly positive."""
+    """Transmit power must be finite and strictly positive."""
 
 
 class InvalidGain(CcdpError):
-    """State gain must be non-negative."""
+    """State gain must be finite and non-negative."""
 
 
 class InfeasibleRho(CcdpError):

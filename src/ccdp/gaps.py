@@ -12,8 +12,8 @@ runs over the same grid produce byte-identical CSV.
 """
 
 import json
-from dataclasses import dataclass, field
-from math import inf, log2, sqrt
+from dataclasses import dataclass, field, replace
+from math import inf, log2, nan, sqrt
 
 import numpy as np
 
@@ -33,10 +33,36 @@ CSV_COLUMNS = ("M", "P", "c", "rho", "variant",
                "inner_bpcu", "outer_bpcu", "gap_bpcu",
                "inner_branch", "outer_branch")
 
-# Variant *kinds* accepted by certification; mapped per theorem to the
-# concrete bound variant ("appendix" is the loosened form for Th3 and the
-# general-M appendix form otherwise).
-_APPENDIX_SPELLINGS = ("appendix", bounds.APPENDIX_FORM, bounds.APPENDIX_LOOSENED)
+
+def normalize_variant(token):
+    """The outer-variant family a spelling names: appendix-form (spelled
+    "appendix", "appendix-form" or "appendix-loosened") or theorem-statement."""
+    if token in ("appendix", bounds.APPENDIX_FORM, bounds.APPENDIX_LOOSENED):
+        return bounds.APPENDIX_FORM
+    if token == bounds.THEOREM:
+        return bounds.THEOREM
+    raise ValueError(f"unknown outer variant {token!r}")
+
+
+def bound_pair(M, rho, variant, theorem=None):
+    """(inner, outer, outer variant) of the public bounds for an (M, rho) slice.
+
+    ``variant`` is a normalized family.  theorem=None is the sweep rule: the
+    dedicated two-receiver pair at M = 2 with independent states, the
+    correlated-states pair everywhere else.  Th3 uses the two-receiver pair,
+    Th4 the independent-state M-receiver pair, Th5/Th6 the correlated-states
+    pair.  The two-receiver appendix family is the loosened form.
+    """
+    if theorem is None:
+        theorem = "Th3" if M == 2 and rho == 0.0 else "Th6"
+    if theorem == "Th3":
+        outer = bounds.APPENDIX_LOOSENED if variant == bounds.APPENDIX_FORM else variant
+        return bounds.ccdp2_inner, bounds.ccdp2_outer, outer
+    if theorem == "Th4":
+        return bounds.ccdp_m_inner, bounds.ccdp_m_outer, variant
+    if theorem in ("Th5", "Th6"):
+        return bounds.ccdp_es_inner, bounds.ccdp_es_outer, variant
+    raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +79,7 @@ class SweepGrid:
     outer_variant: str = bounds.APPENDIX_FORM
 
     def __post_init__(self):
+        object.__setattr__(self, "outer_variant", normalize_variant(self.outer_variant))
         for name in ("m_values", "p_values", "c2_values"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
@@ -148,128 +175,65 @@ class GapReport:
         return self
 
 
-def _bound_pair(theorem, variant_kind):
-    """Map (theorem, variant kind) to concrete inner/outer evaluators."""
-    if variant_kind in _APPENDIX_SPELLINGS:
-        kind = "appendix"
-    elif variant_kind == bounds.THEOREM:
-        kind = bounds.THEOREM
-    else:
-        raise ValueError(f"unknown outer variant {variant_kind!r}")
-
-    if theorem == "Th3":
-        outer_variant = bounds.APPENDIX_LOOSENED if kind == "appendix" else bounds.THEOREM
-        return (lambda p: bounds.ccdp2_inner(p),
-                lambda p: bounds.ccdp2_outer(p, outer_variant))
-    if theorem == "Th4":
-        outer_variant = bounds.APPENDIX_FORM if kind == "appendix" else bounds.THEOREM
-        return (lambda p: bounds.ccdp_m_inner(p),
-                lambda p: bounds.ccdp_m_outer(p, outer_variant))
-    if theorem in ("Th5", "Th6"):
-        outer_variant = bounds.APPENDIX_FORM if kind == "appendix" else bounds.THEOREM
-        return (lambda p: bounds.ccdp_es_inner(p),
-                lambda p: bounds.ccdp_es_outer(p, outer_variant))
-    raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
-
-
-def _evaluate_rows(grid, inner_fn, outer_fn, threads=1):
+def _evaluate_rows(grid, theorem=None):
     """One row per feasible grid point, lexicographic in (M, P, c2, rho).
 
-    The variant column records the outer bound variant actually evaluated.
+    The bound pair is resolved once per (M, rho) slice; the variant column
+    records the outer bound variant actually evaluated.
     """
-    def slice_rows(task):
-        M, rho = task
-        out = []
-        for P in grid.p_values:
-            for c2 in grid.c2_values:
+    rows = []
+    for M in sorted(grid.m_values):
+        slices = [(rho, *bound_pair(M, rho, grid.outer_variant, theorem))
+                  for rho in sorted(grid.rho_axis(M))]
+        for P in sorted(grid.p_values):
+            for c2 in sorted(grid.c2_values):
                 c = sqrt(c2)
                 small = P <= SMALL_P or c2 <= SMALL_C2
-                try:
-                    params = ChannelParams(M, P, c, rho)
-                    inner = inner_fn(params)
-                    outer = outer_fn(params)
-                    out.append(GapRow(M, P, c, rho, outer.variant,
-                                      inner.value, outer.value,
-                                      outer.value - inner.value,
-                                      inner.branch, outer.branch, small))
-                except WrongModel:
-                    raise
-                except ValueError as exc:
-                    out.append(GapRow(M, P, c, rho, grid.outer_variant,
-                                      float("nan"), float("nan"), float("nan"),
-                                      f"error:{type(exc).__name__}",
-                                      f"error:{type(exc).__name__}",
-                                      small, type(exc).__name__))
-        return out
-
-    tasks = [(M, rho) for M in grid.m_values for rho in grid.rho_axis(M)]
-    slices = _map_ordered(slice_rows, tasks, threads)
-    # Rows are produced per (M, rho) slice; reorder to (M, P, c2, rho).
-    rows = [r for s in slices for r in s]
-    rows.sort(key=lambda r: (r.M, r.P, r.c, r.rho))
+                for rho, inner_fn, outer_fn, variant in slices:
+                    try:
+                        params = ChannelParams(M, P, c, rho)
+                        inner = inner_fn(params)
+                        outer = outer_fn(params, variant)
+                    except WrongModel:
+                        raise
+                    except ValueError as exc:
+                        error = type(exc).__name__
+                        rows.append(GapRow(M, P, c, rho, grid.outer_variant,
+                                           nan, nan, nan, f"error:{error}",
+                                           f"error:{error}", small, error))
+                        continue
+                    rows.append(GapRow(M, P, c, rho, outer.variant,
+                                       inner.value, outer.value,
+                                       outer.value - inner.value,
+                                       inner.branch, outer.branch, small))
     return rows
 
 
-def _map_ordered(fn, items, threads):
-    """Apply fn to items, preserving item order regardless of thread count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_sweep(grid, threads=1):
+def run_sweep(grid):
     """Sweep inner/outer gaps over the grid.
 
-    Each point is evaluated with the tightest certified pair for its model:
-    the dedicated two-receiver pair at M = 2 with independent states, the
-    correlated-states pair everywhere else.  The grid's outer variant selects
-    the as-stated or the appendix family; per-point domain errors become
-    row-level markers, never sweep failures.
+    Each point is evaluated with the pair ``bound_pair`` picks for its model;
+    the grid's outer variant selects the as-stated or the appendix family.
+    Per-point domain errors become row-level markers, never sweep failures.
     """
-    if grid.outer_variant in _APPENDIX_SPELLINGS:
-        kind = "appendix"
-    elif grid.outer_variant == bounds.THEOREM:
-        kind = bounds.THEOREM
-    else:
-        raise ValueError(f"unknown outer variant {grid.outer_variant!r}")
-
-    def inner_fn(p):
-        if p.M == 2 and p.rho == 0.0:
-            return bounds.ccdp2_inner(p)
-        return bounds.ccdp_es_inner(p)
-
-    def outer_fn(p):
-        if p.M == 2 and p.rho == 0.0:
-            variant = bounds.APPENDIX_LOOSENED if kind == "appendix" \
-                else bounds.THEOREM
-            return bounds.ccdp2_outer(p, variant)
-        variant = bounds.APPENDIX_FORM if kind == "appendix" else bounds.THEOREM
-        return bounds.ccdp_es_outer(p, variant)
-
-    rows = _evaluate_rows(grid, inner_fn, outer_fn, threads)
-    return GapReport(rows=rows, grid=grid).finalize()
+    return GapReport(rows=_evaluate_rows(grid), grid=grid).finalize()
 
 
 def theorem_grid(theorem, grid=None):
     """Restrict (or build) a standard grid matching the theorem's model."""
     base = grid or standard_grid()
     if theorem == "Th3":
-        return SweepGrid((2,), base.p_values, base.c2_values, (0.0,),
-                         outer_variant=base.outer_variant)
+        return replace(base, m_values=(2,), rho_values=(0.0,))
     if theorem == "Th4":
-        return SweepGrid(base.m_values, base.p_values, base.c2_values, (0.0,),
-                         outer_variant=base.outer_variant)
+        return replace(base, rho_values=(0.0,))
     if theorem == "Th5":
-        return SweepGrid((2,), base.p_values, base.c2_values, base.rho_values,
-                         rho_points=base.rho_points, outer_variant=base.outer_variant)
+        return replace(base, m_values=(2,))
     if theorem == "Th6":
         return base
     raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
 
 
-def certify_theorem(theorem, grid, variant_kind="appendix", threads=1):
+def certify_theorem(theorem, grid, variant_kind="appendix"):
     """Certify one constant-gap claim over a (suitably restricted) grid.
 
     Raises WrongModel if the grid contains points outside the theorem's
@@ -286,12 +250,11 @@ def certify_theorem(theorem, grid, variant_kind="appendix", threads=1):
             if any(r != 0.0 for r in grid.rho_axis(M)):
                 raise WrongModel(f"{theorem} applies to independent states (rho=0)")
 
-    inner_fn, outer_fn = _bound_pair(theorem, variant_kind)
-    rows = _evaluate_rows(grid, inner_fn, outer_fn, threads)
-    report = GapReport(rows=rows, grid=grid,
+    grid = replace(grid, outer_variant=normalize_variant(variant_kind))
+    report = GapReport(rows=_evaluate_rows(grid, theorem), grid=grid,
                        claimed_gap=CLAIMED_GAP[theorem], theorem=theorem)
     report.finalize()
-    if variant_kind == bounds.THEOREM and theorem in ("Th4", "Th6"):
+    if grid.outer_variant == bounds.THEOREM and theorem in ("Th4", "Th6"):
         report.warnings.append(
             "theorem-statement outer: the middle branch increases with the "
             "state gain, so it disagrees with the non-increasing appendix "

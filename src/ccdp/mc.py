@@ -22,7 +22,9 @@ import numpy as np
 from .errors import DegenerateCovariance, DomainError, InvalidSplit
 from .model import (
     NEGATIVE_PAIRWISE,
+    SAMPLE_BLOCK,
     ChannelParams,
+    block_generator,
     decompose_states,
     normal_blocks,
     state_covariance,
@@ -135,6 +137,31 @@ def gp_rate_closed_form(layer_power, c2, lam):
     return 0.5 * log2(num / den)
 
 
+def _second_moment(n, width, seed, threads=1):
+    """(1/n) * sum of outer products of n standard-normal rows of this width.
+
+    Block b comes from the stream (seed, b).  With threads > 1 the blocks are
+    drawn in parallel and their partial sums merged in block order, so the
+    result does not depend on the thread count.
+    """
+    total = np.zeros((width, width))
+    if threads <= 1:
+        for _, block in normal_blocks(n, width, seed):
+            total += block.T @ block
+        return total / n
+    from concurrent.futures import ThreadPoolExecutor
+
+    def partial(b):
+        rows = min(SAMPLE_BLOCK, n - b * SAMPLE_BLOCK)
+        block = block_generator(seed, b).standard_normal((rows, width))
+        return block.T @ block
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for part in pool.map(partial, range(-(-n // SAMPLE_BLOCK))):
+            total += part
+    return total / n
+
+
 # ---------------------------------------------------------------------------
 # The scheme's variables as rows over a standard-normal basis.
 # ---------------------------------------------------------------------------
@@ -198,32 +225,7 @@ class SchemeSystem:
         """Empirical (1/n) * sum of basis outer products, cached per (n, seed)."""
         key = (n, seed)
         if key not in self._moment_cache:
-            if threads <= 1:
-                total = np.zeros((self.dim, self.dim))
-                for _, block in normal_blocks(n, self.dim, seed):
-                    total += block.T @ block
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                from .model import SAMPLE_BLOCK, block_generator
-                sizes = []
-                left = n
-                while left > 0:
-                    sizes.append(min(SAMPLE_BLOCK, left))
-                    left -= sizes[-1]
-
-                def partial(b):
-                    # Block identity is (seed, b) regardless of scheduling.
-                    block = block_generator(seed, b).standard_normal(
-                        (sizes[b], self.dim))
-                    return block.T @ block
-
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    parts = list(pool.map(partial, range(len(sizes))))
-                total = np.zeros((self.dim, self.dim))
-                for p in parts:  # merge in block order
-                    total += p
-            self._moment_cache[key] = total / n
+            self._moment_cache[key] = _second_moment(n, self.dim, seed, threads)
         return self._moment_cache[key]
 
     def empirical_cov(self, names, n, seed, threads=1):
@@ -350,15 +352,13 @@ def verify_scheme_rate(config, threads=1):
             terms_gp = [(1.0, [y], [u], cond), (-1.0, [u], [s], [])]
 
         names = sorted({nm for t in terms_san + terms_gp for grp in t[1:] for nm in grp})
-        if names:
-            scaled = terms_san + [(w / M, a, b, c) for (w, a, b, c) in terms_gp]
-            total, total_se = _estimate_terms(system, names, scaled, n, seed, threads)
-            san_value, san_se = (_estimate_terms(system, names, terms_san, n, seed, threads)
-                                 if terms_san else (0.0, 1.0 / n))
-            gp_value, gp_se = (_estimate_terms(system, names, terms_gp, n, seed, threads)
-                               if terms_gp else (0.0, 1.0 / n))
-        else:  # both layers degenerate (cannot happen for P > 0)
-            total, total_se, san_value, san_se, gp_value, gp_se = 0.0, 1.0 / n, 0.0, 1.0 / n, 0.0, 1.0 / n
+        # P > 0, so at least one layer has power and names is never empty.
+        scaled = terms_san + [(w / M, a, b, c) for (w, a, b, c) in terms_gp]
+        total, total_se = _estimate_terms(system, names, scaled, n, seed, threads)
+        san_value, san_se = (_estimate_terms(system, names, terms_san, n, seed, threads)
+                             if terms_san else (0.0, 1.0 / n))
+        gp_value, gp_se = (_estimate_terms(system, names, terms_gp, n, seed, threads)
+                           if terms_gp else (0.0, 1.0 / n))
 
         san_est = MIEstimate(san_value, san_se, n, san_closed) if terms_san \
             else _degenerate_zero(n)
@@ -414,11 +414,7 @@ def verify_decomposition_stats(decomp, n, seed):
     if n < 10_000:
         raise ValueError(f"need n >= 10000, got {n}")
     W, _ = decomp.mixing_matrix()
-    second = np.zeros((decomp.M, decomp.M))
-    for _, block in normal_blocks(n, W.shape[1], seed):
-        states = block @ W.T
-        second += states.T @ states
-    emp = second / n
+    emp = W @ _second_moment(n, W.shape[1], seed) @ W.T
     target = state_covariance(decomp.M, decomp.rho).entries
     return float(np.max(np.abs(emp - target)))
 
@@ -438,12 +434,6 @@ def state_split_reduction(params, theta, n, seed):
     W, _ = decompose_states(params).mixing_matrix()
     K = W.shape[1]
 
-    def second_moment(A, dim, stream):
-        total = np.zeros((dim, dim))
-        for _, block in normal_blocks(n, dim, stream):
-            total += block.T @ block
-        return A @ (total / n) @ A.T
-
     # Original channel with split states: basis [x, kept latents, known
     # latents, z].  The receiver subtracts the known part from its output.
     dim_a = 1 + 2 * K + M
@@ -458,7 +448,7 @@ def state_split_reduction(params, theta, n, seed):
         known = np.zeros(dim_a)
         known[1 + K:1 + 2 * K] = c * sqrt(1.0 - theta) * W[m]
         A[m + 1] = y - known
-    cancelled = second_moment(A, dim_a, seed)
+    cancelled = A @ _second_moment(n, dim_a, seed) @ A.T
 
     # Channel with gain c*sqrt(theta) sampled directly, independent stream.
     dim_b = 1 + K + M
@@ -468,7 +458,7 @@ def state_split_reduction(params, theta, n, seed):
         B[m + 1, 0] = sqrt(P)
         B[m + 1, 1:1 + K] = c * sqrt(theta) * W[m]
         B[m + 1, 1 + K + m] = 1.0
-    reduced = second_moment(B, dim_b, seed + 1)
+    reduced = B @ _second_moment(n, dim_b, seed + 1) @ B.T
 
     target = np.full((1 + M, 1 + M), P)
     target[1:, 1:] += theta * params.c2 * (W @ W.T)

@@ -12,6 +12,7 @@ be generated in any order (or in parallel) without changing the output.
 """
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -54,10 +55,10 @@ class ChannelParams:
         if not isinstance(self.M, (int, np.integer)) or isinstance(self.M, bool) or self.M < 2:
             raise InvalidM(f"M must be an integer >= 2, got {self.M!r}")
         object.__setattr__(self, "M", int(self.M))
-        if not self.P > 0:
-            raise InvalidPower(f"P must be > 0, got {self.P!r}")
-        if self.c < 0:
-            raise InvalidGain(f"c must be >= 0, got {self.c!r}")
+        if not 0.0 < self.P < inf:
+            raise InvalidPower(f"P must be finite and > 0, got {self.P!r}")
+        if not 0.0 <= self.c < inf:
+            raise InvalidGain(f"c must be finite and >= 0, got {self.c!r}")
         lo, hi = rho_range(self.M)
         if not (lo - FEASIBILITY_TOL <= self.rho <= hi + FEASIBILITY_TOL):
             raise InfeasibleRho(

@@ -63,8 +63,8 @@ def test_criterion_01_th3_gap_certification():
 
 def test_criterion_02_th4_th6_gap_certification():
     t0 = time.monotonic()
-    rep4 = certify_theorem("Th4", theorem_grid("Th4"), threads=1)
-    rep6 = certify_theorem("Th6", theorem_grid("Th6"), threads=1)
+    rep4 = certify_theorem("Th4", theorem_grid("Th4"))
+    rep6 = certify_theorem("Th6", theorem_grid("Th6"))
     elapsed = time.monotonic() - t0
     ok = rep4.certified is True and rep6.certified is True
     ok = ok and rep4.max_gap <= 2.25 + 1e-9 and rep6.max_gap <= 2.25 + 1e-9

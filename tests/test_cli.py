@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from ccdp import SweepGrid, run_sweep
 from ccdp.cli import main
+from ccdp.gaps import rows_to_csv
 
 
 def run(capsys, *argv):
@@ -65,6 +67,31 @@ def test_bounds_json(capsys, tmp_path):
     assert doc["config"]["tool_version"]
 
 
+@pytest.mark.parametrize("c2", ["nan", "inf"])
+def test_bounds_non_finite_gain_exits_2(capsys, c2):
+    code, out, err = run(capsys, "bounds", "--M", "2", "--P", "10", "--c2", c2)
+    assert code == 2 and "InvalidGain" in err
+    assert "gap" not in out
+
+
+@pytest.mark.parametrize("c2", ["0.5", "4", "50"])
+def test_bounds_csv_row_equals_sweep_row(capsys, c2):
+    code, out, _ = run(capsys, "bounds", "--M", "2", "--P", "10", "--c2", c2,
+                       "--rho", "0", "--format", "csv")
+    assert code == 0
+    row = [l for l in out.splitlines() if not l.startswith("#")][1]
+    sweep = run_sweep(SweepGrid((2,), (10.0,), (float(c2),), (0.0,)))
+    assert row == rows_to_csv(sweep.rows).splitlines()[1]
+    # the theorem-statement outer is the one the sweep reports for that variant
+    code, out, _ = run(capsys, "bounds", "--M", "2", "--P", "10", "--c2", c2,
+                       "--rho", "0", "--format", "json")
+    stated = json.loads(out)["results"]["outer_theorem"]
+    sweep = run_sweep(SweepGrid((2,), (10.0,), (float(c2),), (0.0,),
+                                outer_variant="theorem-statement"))
+    assert (stated["value"], stated["branch"], stated["variant"]) == (
+        sweep.rows[0].outer, sweep.rows[0].outer_branch, sweep.rows[0].variant)
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -92,6 +119,7 @@ def test_certify_theorem_statement_exits_nonzero_with_warnings(capsys, tmp_path)
     assert doc["certified"] is False
     assert any("middle branch" in w for w in doc["warnings"])
     assert doc["maxGap"] is not None
+    assert doc["results"]["grid"]["outer_variant"] == "theorem-statement"
 
 
 def test_certify_requires_theorem(capsys):
@@ -258,3 +286,21 @@ def test_threads_env_default(capsys, tmp_path, monkeypatch):
 def test_usage_without_command(capsys):
     code, _, err = run(capsys)
     assert code == 2 and "usage" in err
+
+
+def test_bare_config_flag_exits_2(capsys):
+    code, _, err = run(capsys, "--config")
+    assert code == 2 and "CcdpError" in err and "--config" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_count_below_one_rejected(capsys, threads):
+    code, _, err = run(capsys, "bounds", "--M", "2", "--P", "10", "--c2", "4",
+                       "--threads", threads)
+    assert code == 2 and "threads" in err
+
+
+def test_thread_count_env_zero_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("CCDP_THREADS", "0")
+    code, _, err = run(capsys, "bounds", "--M", "2", "--P", "10", "--c2", "4")
+    assert code == 2 and "threads" in err

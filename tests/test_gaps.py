@@ -7,9 +7,17 @@ import pytest
 
 from ccdp import (
     APPENDIX_FORM,
+    APPENDIX_LOOSENED,
+    THEOREM,
     ChannelParams,
     SweepGrid,
     WrongModel,
+    ccdp2_inner,
+    ccdp2_outer,
+    ccdp_es_inner,
+    ccdp_es_outer,
+    ccdp_m_inner,
+    ccdp_m_outer,
     certify_theorem,
     fig3_curve,
     monotonicity_audit,
@@ -128,11 +136,66 @@ def test_sweep_deterministic_csv():
     assert a == b
 
 
-def test_sweep_threads_do_not_change_output():
-    g = small_grid()
-    a = rows_to_csv(run_sweep(g, threads=1).rows)
-    b = rows_to_csv(run_sweep(g, threads=4).rows)
-    assert a == b
+# Pair-rule oracle grid: rho below, at and above 0 (feasible up to M = 5);
+# c2 below 1, in the middle strips and above (M-1)(P+1) for every M and P.
+ORACLE_GRID = SweepGrid((2, 3, 5), (10.0, 50.0), (0.5, 2.0, 6.0, 100.0, 1000.0),
+                        (-0.2, 0.0, 0.5))
+
+
+def _direct_pair(theorem, variant, p):
+    """The public bound calls a row of this theorem and variant stands for."""
+    appendix = variant == "appendix"
+    if theorem == "Th3" or (theorem is None and p.M == 2 and p.rho == 0.0):
+        return ccdp2_inner(p), ccdp2_outer(p, APPENDIX_LOOSENED if appendix else THEOREM)
+    if theorem == "Th4":
+        return ccdp_m_inner(p), ccdp_m_outer(p, APPENDIX_FORM if appendix else THEOREM)
+    return ccdp_es_inner(p), ccdp_es_outer(p, APPENDIX_FORM if appendix else THEOREM)
+
+
+@pytest.mark.parametrize("variant", ["appendix", "theorem-statement"])
+@pytest.mark.parametrize("theorem", [None, "Th3", "Th4", "Th5", "Th6"])
+def test_rows_equal_direct_bound_calls(theorem, variant):
+    if theorem is None:
+        grid = SweepGrid(ORACLE_GRID.m_values, ORACLE_GRID.p_values,
+                         ORACLE_GRID.c2_values, ORACLE_GRID.rho_values,
+                         outer_variant=variant)
+        rows = run_sweep(grid).rows
+    else:
+        m_values = (2,) if theorem in ("Th3", "Th5") else ORACLE_GRID.m_values
+        rho_values = (0.0,) if theorem in ("Th3", "Th4") else ORACLE_GRID.rho_values
+        grid = SweepGrid(m_values, ORACLE_GRID.p_values, ORACLE_GRID.c2_values,
+                         rho_values)
+        rows = certify_theorem(theorem, grid, variant_kind=variant).rows
+    assert len(rows) == grid.size()
+    for r in rows:
+        inner, outer = _direct_pair(theorem, variant, ChannelParams(r.M, r.P, r.c, r.rho))
+        assert (r.variant, r.inner, r.outer, r.gap, r.inner_branch, r.outer_branch) \
+            == (outer.variant, inner.value, outer.value, outer.value - inner.value,
+                inner.branch, outer.branch)
+
+
+def test_th4_statement_at_two_receivers_is_the_general_form():
+    # Th4 at M = 2 uses the general-M statement; the sweep's M = 2, rho = 0
+    # pair uses the dedicated two-receiver statement.
+    grid = SweepGrid((2,), (10.0,), (100.0,), (0.0,))
+    th4 = certify_theorem("Th4", grid, variant_kind=THEOREM).rows[0]
+    sweep = run_sweep(SweepGrid((2,), (10.0,), (100.0,), (0.0,),
+                                outer_variant=THEOREM)).rows[0]
+    assert th4.outer_branch == "c2>=(M-1)(P+1)" and th4.inner_branch == "time-sharing"
+    assert sweep.outer_branch == "c2>=P+1" and sweep.inner_branch == "c2>=P+1"
+    assert th4.outer == pytest.approx(0.25 * log2(11.0) + 2.0, abs=1e-12)
+    assert sweep.outer == pytest.approx(0.25 * log2(11.0) + 1.0, abs=1e-12)
+    assert th4.inner == sweep.inner
+
+
+def test_variant_spellings_normalized():
+    for token in ("appendix", APPENDIX_FORM, APPENDIX_LOOSENED):
+        assert small_grid(outer_variant=token).outer_variant == APPENDIX_FORM
+    assert small_grid(outer_variant=THEOREM).outer_variant == THEOREM
+    with pytest.raises(ValueError):
+        small_grid(outer_variant="raw-unoptimized")
+    with pytest.raises(ValueError):
+        certify_theorem("Th3", theorem_grid("Th3", small_grid()), variant_kind="bogus")
 
 
 def test_csv_schema():

@@ -61,6 +61,16 @@ def test_rejections(args, exc):
         ChannelParams(*args)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field,exc", [
+    ("P", InvalidPower), ("c", InvalidGain), ("rho", InfeasibleRho),
+])
+def test_non_finite_fields_rejected(field, exc, value):
+    args = {"M": 2, "P": 10.0, "c": 2.0, "rho": 0.0, field: value}
+    with pytest.raises(exc):
+        ChannelParams(**args)
+
+
 def test_rho_bar_plus():
     assert ChannelParams(2, 1.0, 1.0, 0.75).rho_bar_plus == 0.25
     assert ChannelParams(2, 1.0, 1.0, -0.5).rho_bar_plus == 1.0
