@@ -207,9 +207,10 @@ def alpha_star(params):
 
     Clamp of (c2+1-M)/(P(M-1)) into [0, 1]: zero while the state is weaker
     than the cross-receiver interference floor, one past c2 = (M-1)(P+1).
-    The correlated case reuses this at the effective gain.
+    c2 is the effective gain c2*(1 - max(rho, 0)), which is c2 for rho <= 0.
     """
-    ab = (params.c2 + 1.0 - params.M) / (params.P * (params.M - 1))
+    ceff2 = params.c2 * params.rho_bar_plus
+    ab = (ceff2 + 1.0 - params.M) / (params.P * (params.M - 1))
     return PowerSplit(min(1.0, max(0.0, ab)))
 
 

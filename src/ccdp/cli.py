@@ -8,7 +8,7 @@ reproduces the output byte for byte.
 
 Numerical output goes to ``--out`` (default stdout); a one-line human summary
 goes to stderr.  Exit status: 0 on success, 1 when a certify run misses its
-claimed gap, 2 on invalid input.
+claimed gap, 2 on invalid input, 3 on an internal error.
 """
 
 import argparse
@@ -26,12 +26,17 @@ from . import __version__, bounds, gaps, mc
 from .errors import CcdpError
 from .model import ChannelParams, decompose_states
 
-Opt = namedtuple("Opt", "type default help")
+Opt = namedtuple("Opt", "type default help")  # type converts flag and file text
+
+
+def int_list(text):
+    return tuple(int(t) for t in text.split(",") if t.strip())
+
 
 COMMANDS = ("bounds", "sweep", "certify", "fig3", "simulate", "audit")
 
 _GRID_OPTS = {
-    "M-values": Opt("ints", (2, 3, 4, 5, 6, 7, 8), "comma list of receiver counts"),
+    "M-values": Opt(int_list, (2, 3, 4, 5, 6, 7, 8), "comma list of receiver counts"),
     "P-min": Opt(float, 3.01, "power grid lower end"),
     "P-max": Opt(float, 1e4, "power grid upper end"),
     "P-points": Opt(int, 50, "log-spaced power grid points"),
@@ -50,11 +55,7 @@ _POINT_OPTS = {
     "rho": Opt(float, 0.0, "pairwise state correlation"),
 }
 
-_COMMON_OPTS = {
-    "out": Opt(str, "-", "output path, '-' for stdout"),
-    "threads": Opt(int, None, "Monte Carlo worker threads, used by simulate "
-                              "(default: CCDP_THREADS or 1)"),
-}
+_COMMON_OPTS = {"out": Opt(str, "-", "output path, '-' for stdout")}
 
 OPTION_TABLES = {
     "bounds": {**_POINT_OPTS, **_COMMON_OPTS,
@@ -82,22 +83,14 @@ OPTION_TABLES = {
                  "samples": Opt(int, 1_000_000, "Monte Carlo sample count"),
                  "seed": Opt(int, 0, "stream seed"),
                  "lam": Opt(float, None, "inflation factor override (gp only)"),
+                 "threads": Opt(int, None, "Monte Carlo worker threads "
+                                           "(default: CCDP_THREADS or 1)"),
                  "format": Opt(str, "json", "json")},
     "audit": {**_GRID_OPTS, **_COMMON_OPTS,
               "families": Opt(str, "optimized",
                               "'optimized', 'all' or comma list of families"),
               "format": Opt(str, "csv", "csv or json")},
 }
-
-
-def _parse_value(kind, text):
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    if kind == "ints":
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    return text
 
 
 def _format_value(value):
@@ -136,13 +129,19 @@ def resolve_config(command, flag_values, file_values):
         if flag_values.get(name) is not None:
             resolved[name] = flag_values[name]
         elif name in file_values:
-            resolved[name] = _parse_value(opt.type, file_values[name])
+            resolved[name] = opt.type(file_values[name])
         else:
             resolved[name] = opt.default
-    if resolved.get("threads") is None:
-        resolved["threads"] = int(os.environ.get("CCDP_THREADS", "1"))
-    if resolved["threads"] < 1:
-        raise CcdpError(f"threads must be >= 1, got {resolved['threads']}")
+    if "threads" in table:
+        if resolved["threads"] is None:
+            env = os.environ.get("CCDP_THREADS", "1")
+            try:
+                resolved["threads"] = int(env)
+            except ValueError:
+                raise CcdpError(
+                    f"CCDP_THREADS must be an integer, got {env!r}") from None
+        if resolved["threads"] < 1:
+            raise CcdpError(f"threads must be >= 1, got {resolved['threads']}")
     return resolved
 
 
@@ -166,12 +165,8 @@ def config_hash(command, resolved):
 def _build_parser(command):
     parser = argparse.ArgumentParser(prog=f"ccdp {command}", description=None)
     for name, opt in OPTION_TABLES[command].items():
-        kwargs = {"help": opt.help, "default": None, "dest": name}
-        if opt.type in (int, float):
-            kwargs["type"] = opt.type
-        elif opt.type == "ints":
-            kwargs["type"] = lambda t: tuple(int(x) for x in t.split(","))
-        parser.add_argument(f"--{name}", **kwargs)
+        parser.add_argument(f"--{name}", type=opt.type, default=None,
+                            dest=name, help=opt.help)
     parser.add_argument("--config", default=None, help="config file path")
     parser.add_argument("--dump-config", default=None, dest="dump_config",
                         help="write the resolved config to this path")
@@ -223,16 +218,23 @@ def _params_from(opts):
     return ChannelParams(opts["M"], opts["P"], sqrt(c2), opts["rho"])
 
 
+def _log_axis(opts, name, axis):
+    """Log-spaced --<name>-points values between the ends, checked as the
+    grid checks its own axis values."""
+    lo, hi = (gaps.AXIS_CHECKS[axis](opts[f"{name}-{end}"]) for end in ("min", "max"))
+    if not (lo > 0.0 and hi > 0.0):
+        raise CcdpError(f"--{name}-min and --{name}-max must be > 0 on a log axis")
+    return tuple(np.logspace(log10(lo), log10(hi), opts[f"{name}-points"]))
+
+
 def _grid_from(opts):
     rho_text = opts["rho-values"]
     rho_values = None if rho_text == "feasible" else tuple(
         float(t) for t in rho_text.split(",") if t.strip())
     return gaps.SweepGrid(
-        m_values=tuple(opts["M-values"]),
-        p_values=tuple(np.logspace(log10(opts["P-min"]), log10(opts["P-max"]),
-                                   opts["P-points"])),
-        c2_values=tuple(np.logspace(log10(opts["c2-min"]), log10(opts["c2-max"]),
-                                    opts["c2-points"])),
+        m_values=opts["M-values"],
+        p_values=_log_axis(opts, "P", "p_values"),
+        c2_values=_log_axis(opts, "c2", "c2_values"),
         rho_values=rho_values,
         rho_points=opts["rho-points"],
         outer_variant=opts.get("outer-variant", bounds.APPENDIX_FORM),
@@ -349,9 +351,7 @@ def cmd_simulate(resolved):
         raise CcdpError(f"--target must be one of {mc.TARGETS}, got {target!r}")
     ab = resolved["alpha-bar"]
     if ab is None:
-        ceff2 = params.c2 * params.rho_bar_plus
-        ab = min(1.0, max(0.0, (ceff2 + 1.0 - params.M)
-                          / (params.P * (params.M - 1))))
+        ab = bounds.alpha_star(params).alpha_bar
     config = mc.SimulationConfig(params=params, samples=resolved["samples"],
                                  seed=resolved["seed"], alpha_bar=ab,
                                  target=target)
@@ -471,9 +471,9 @@ def main(argv=None):
             with open(ns.dump_config, "w", encoding="utf-8") as fh:
                 fh.write(dump_config_text(command, resolved))
         return _HANDLERS[command](resolved)
-    except (ValueError, OSError) as exc:  # CcdpError is a ValueError
+    except Exception as exc:  # CcdpError is a ValueError
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 2
+        return 2 if isinstance(exc, (ValueError, OSError)) else 3
 
 
 if __name__ == "__main__":

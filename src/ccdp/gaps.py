@@ -13,12 +13,12 @@ runs over the same grid produce byte-identical CSV.
 
 import json
 from dataclasses import dataclass, field, replace
-from math import inf, log2, nan, sqrt
+from math import inf, isfinite, log2, sqrt
 
 import numpy as np
 
 from . import bounds
-from .errors import WrongModel
+from .errors import CcdpError, InfeasibleRho, WrongModel
 from .model import ChannelParams, rho_range
 
 GAP_TOL = 1e-9
@@ -65,11 +65,23 @@ def bound_pair(M, rho, variant, theorem=None):
     raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
 
 
+# Per-axis value checks: the ChannelParams check of the field fed (c2 as c).
+# Explicit rho values are only made floats; SweepGrid rejects non-finite ones
+# and rho_axis filters out the infeasible ones per M.
+AXIS_CHECKS = {
+    "m_values": lambda M: ChannelParams(M, 1.0, 0.0).M,
+    "p_values": lambda P: float(ChannelParams(2, P, 0.0).P),
+    "c2_values": lambda c2: float(ChannelParams(2, 1.0, c2).c),
+    "rho_values": float,
+}
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Axes of a sweep.  rho_values=None means 13 evenly spaced feasible
     correlations per M (endpoints included); an explicit list is filtered
-    per M to the feasible range."""
+    per M to the feasible range.  Each axis value passes AXIS_CHECKS; an empty
+    axis, a repeated value or rho_points < 1 raises CcdpError."""
 
     m_values: tuple
     p_values: tuple
@@ -80,15 +92,17 @@ class SweepGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "outer_variant", normalize_variant(self.outer_variant))
-        for name in ("m_values", "p_values", "c2_values"):
-            if len(getattr(self, name)) == 0:
-                raise ValueError(f"{name} must be non-empty")
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
-        object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
-        object.__setattr__(self, "c2_values", tuple(float(c) for c in self.c2_values))
-        if self.rho_values is not None:
-            object.__setattr__(self, "rho_values",
-                               tuple(float(r) for r in self.rho_values))
+        if self.rho_values is not None and not all(map(isfinite, self.rho_values)):
+            raise InfeasibleRho(f"rho_values must be finite, got {self.rho_values}")
+        for name, check in AXIS_CHECKS.items():
+            if getattr(self, name) is None:
+                continue  # the default feasible rho axis
+            values = tuple(check(v) for v in getattr(self, name))
+            if not values or len(set(values)) < len(values):
+                raise CcdpError(f"{name} must be non-empty, no repeats: {values}")
+            object.__setattr__(self, name, values)
+        if self.rho_points < 1:
+            raise CcdpError(f"rho_points must be >= 1, got {self.rho_points!r}")
 
     def rho_axis(self, M):
         """Feasible correlation values for this M, in axis order."""
@@ -98,8 +112,8 @@ class SweepGrid:
         return tuple(r for r in self.rho_values if lo - 1e-12 <= r <= hi + 1e-12)
 
     def size(self):
-        per_m = {M: len(self.rho_axis(M)) for M in self.m_values}
-        return len(self.p_values) * len(self.c2_values) * sum(per_m.values())
+        per_m = sum(len(self.rho_axis(M)) for M in self.m_values)
+        return len(self.p_values) * len(self.c2_values) * per_m
 
 
 def standard_grid(m_values=(2, 3, 4, 5, 6, 7, 8), rho_values=None,
@@ -130,7 +144,6 @@ class GapRow:
     inner_branch: str
     outer_branch: str
     small_regime: bool = False
-    error: str | None = None
 
 
 @dataclass
@@ -150,8 +163,8 @@ class GapReport:
 
     def finalize(self):
         """Recompute the certificate from the rows (pure function of them)."""
-        regular = [r for r in self.rows if r.error is None and not r.small_regime]
-        small = [r for r in self.rows if r.error is None and r.small_regime]
+        regular = [r for r in self.rows if not r.small_regime]
+        small = [r for r in self.rows if r.small_regime]
         self.small_regime_rows = len(small)
         self.max_gap, self.min_gap, self.argmax = -inf, inf, None
         for r in regular:
@@ -190,18 +203,9 @@ def _evaluate_rows(grid, theorem=None):
                 c = sqrt(c2)
                 small = P <= SMALL_P or c2 <= SMALL_C2
                 for rho, inner_fn, outer_fn, variant in slices:
-                    try:
-                        params = ChannelParams(M, P, c, rho)
-                        inner = inner_fn(params)
-                        outer = outer_fn(params, variant)
-                    except WrongModel:
-                        raise
-                    except ValueError as exc:
-                        error = type(exc).__name__
-                        rows.append(GapRow(M, P, c, rho, grid.outer_variant,
-                                           nan, nan, nan, f"error:{error}",
-                                           f"error:{error}", small, error))
-                        continue
+                    params = ChannelParams(M, P, c, rho)
+                    inner = inner_fn(params)
+                    outer = outer_fn(params, variant)
                     rows.append(GapRow(M, P, c, rho, outer.variant,
                                        inner.value, outer.value,
                                        outer.value - inner.value,
@@ -214,7 +218,6 @@ def run_sweep(grid):
 
     Each point is evaluated with the pair ``bound_pair`` picks for its model;
     the grid's outer variant selects the as-stated or the appendix family.
-    Per-point domain errors become row-level markers, never sweep failures.
     """
     return GapReport(rows=_evaluate_rows(grid), grid=grid).finalize()
 
@@ -252,8 +255,7 @@ def certify_theorem(theorem, grid, variant_kind="appendix"):
 
     grid = replace(grid, outer_variant=normalize_variant(variant_kind))
     report = GapReport(rows=_evaluate_rows(grid, theorem), grid=grid,
-                       claimed_gap=CLAIMED_GAP[theorem], theorem=theorem)
-    report.finalize()
+                       claimed_gap=CLAIMED_GAP[theorem], theorem=theorem).finalize()
     if grid.outer_variant == bounds.THEOREM and theorem in ("Th4", "Th6"):
         report.warnings.append(
             "theorem-statement outer: the middle branch increases with the "
@@ -270,9 +272,7 @@ def fig3_curve(P, c_values):
     gains in (0, c], i.e. raw evaluated at min(c, sqrt(P+1)).  The optimized
     curve is flat past sqrt(P+1), where the raw curve keeps increasing.
     """
-    if not P > 0:
-        raise ValueError(f"P must be > 0, got {P!r}")
-    c_opt = sqrt(P + 1.0)
+    c_opt = sqrt(ChannelParams(2, P, 0.0).P + 1.0)  # InvalidPower for a bad P
     rows = []
     for c in c_values:
         c = float(c)
@@ -317,9 +317,9 @@ class MonotonicityViolation:
 def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
     """Scan each family for value increases along the c axis.
 
-    Slices where a family does not apply (wrong M or rho) are skipped; any
-    adjacent-pair increase beyond MONOTONE_TOL is returned as a violation
-    record, never raised.
+    Slices where a family does not apply (WrongModel: wrong M or rho) are
+    skipped; any adjacent-pair increase beyond MONOTONE_TOL is returned as a
+    violation record, never raised.
     """
     violations = []
     c2_sorted = sorted(grid.c2_values)
@@ -331,8 +331,8 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
                     try:
                         values = [fn(ChannelParams(M, P, sqrt(c2), rho)).value
                                   for c2 in c2_sorted]
-                    except (WrongModel, ValueError):
-                        continue  # family not applicable on this slice
+                    except WrongModel:
+                        continue
                     for i in range(len(values) - 1):
                         inc = values[i + 1] - values[i]
                         if inc > MONOTONE_TOL:
@@ -397,7 +397,6 @@ def report_summary(report):
         "certified": report.certified,
         "rows": len(report.rows),
         "smallRegimeRows": report.small_regime_rows,
-        "errorRows": sum(1 for r in report.rows if r.error is not None),
         "grid": grid_description(report.grid),
     }
 

@@ -132,7 +132,7 @@ def gp_rate_closed_form(layer_power, c2, lam):
     q = layer_power
     num = q * (q + c2 + 1.0)
     den = (q + lam * lam * c2) * (q + c2 + 1.0) - (q + lam * c2) ** 2
-    if den <= 0.0 or num <= 0.0:
+    if not (den > 0.0 and num > 0.0):  # NaN (lam = nan or inf) fails too
         raise DomainError("pre-coded rate undefined for these parameters")
     return 0.5 * log2(num / den)
 

@@ -230,6 +230,17 @@ def test_alpha_star_closed_form():
     assert alpha_star(P2(30.0)).alpha_bar == 1.0
 
 
+@pytest.mark.parametrize("M, P, c2, rho", [
+    (2, 10.0, 5.0, 0.5), (3, 10.0, 40.0, 0.64), (4, 2.0, 30.0, 0.9),
+    (5, 100.0, 200.0, 0.25), (3, 10.0, 40.0, -0.5),
+])
+def test_alpha_star_uses_effective_gain(M, P, c2, rho):
+    ceff2 = c2 * (1.0 - max(rho, 0.0))
+    star = alpha_star(ChannelParams(M, P, sqrt(c2), rho)).alpha_bar
+    independent = alpha_star(ChannelParams(M, P, sqrt(ceff2), 0.0)).alpha_bar
+    assert star == pytest.approx(independent, abs=1e-12)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     M=st.integers(2, 8),

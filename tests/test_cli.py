@@ -153,16 +153,35 @@ def test_sweep_csv_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_threads_identical_output(capsys, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ("sweep", "--M-values", "2,3,4", "--P-points", "4",
-            "--c2-points", "4")
-    assert run(capsys, *args, "--threads", "1", "--out", str(a))[0] == 0
-    assert run(capsys, *args, "--threads", "3", "--out", str(b))[0] == 0
-    # metadata hash covers the computation, not the worker count
-    content = lambda p: [l for l in p.read_text().split("\n")
-                         if not l.startswith("#")]
-    assert content(a) == content(b)
+def test_sweep_threads_flag_rejected(capsys):
+    # only simulate reads a thread count, so only simulate takes one
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error
+        main(["sweep", "--M-values", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+GRID = ("--P-points", "2", "--c2-points", "2")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("sweep", "--M-values", "2", "--P-min", "nan", *GRID), "InvalidPower"),
+    (("certify", "--theorem", "Th6", "--M-values", "1", *GRID), "InvalidM"),
+    (("sweep", "--M-values", "1", *GRID), "InvalidM"),
+    (("audit", "--M-values", "1", *GRID), "InvalidM"),
+    (("sweep", "--rho-values", "nan", *GRID), "InfeasibleRho"),
+    (("sweep", "--rho-points", "0", *GRID), "CcdpError"),
+    (("sweep", "--M-values", "2,2", *GRID), "CcdpError"),
+    (("sweep", "--P-min", "0"), "InvalidPower"),
+    (("sweep", "--c2-min", "-1"), "InvalidGain"),
+    (("sweep", "--c2-min", "0"), "CcdpError"),
+    (("fig3", "--P", "inf"), "InvalidPower"),
+])
+def test_invalid_grid_input_exits_2(capsys, tmp_path, argv, error):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and err.startswith(f"{error}: ")
+    assert not out.exists()
 
 
 def test_fig3_csv(capsys, tmp_path):
@@ -215,6 +234,14 @@ def test_simulate_decomposition(capsys, tmp_path):
     doc = json.loads(f.read_text())
     assert doc["results"]["kind"] == "negative-pairwise"
     assert doc["results"]["max_abs_covariance_error"] < 0.05
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_simulate_non_finite_lam_exits_2(capsys, lam):
+    code, out, err = run(capsys, "simulate", "--target", "gp", "--M", "2",
+                         "--P", "10", "--c2", "4", "--alpha-bar", "0.3",
+                         "--lam", lam)
+    assert code == 2 and err.startswith("DomainError: ") and not out
 
 
 def test_simulate_default_alpha_bar_is_optimal(capsys, tmp_path):
@@ -270,17 +297,62 @@ def test_config_command_mismatch_rejected(capsys, tmp_path):
     assert code == 2 and "does not match" in err
 
 
+SIMULATE = ("simulate", "--target", "san", "--samples", "1000",
+            "--M", "2", "--c2", "4")
+
+
 def test_threads_env_default(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CCDP_THREADS", "3")
     cfg = tmp_path / "t.cfg"
-    code, _, _ = run(capsys, "bounds", "--M", "2", "--P", "10", "--c2", "4",
-                     "--dump-config", str(cfg))
+    code, _, _ = run(capsys, *SIMULATE, "--dump-config", str(cfg))
     assert code == 0
     assert "threads = 3" in cfg.read_text()
     # explicit flag still wins
-    code, _, _ = run(capsys, "bounds", "--M", "2", "--P", "10", "--c2", "4",
-                     "--threads", "2", "--dump-config", str(cfg))
+    code, _, _ = run(capsys, *SIMULATE, "--threads", "2", "--dump-config", str(cfg))
     assert "threads = 2" in cfg.read_text()
+
+
+def test_threads_env_not_integer(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("CCDP_THREADS", "abc")
+    code, _, err = run(capsys, *SIMULATE)
+    assert code == 2 and err.startswith("CcdpError: ") and "CCDP_THREADS" in err
+    # commands without a thread count do not read the variable
+    cfg = tmp_path / "s.cfg"
+    code, _, _ = run(capsys, "sweep", "--M-values", "2", *GRID,
+                     "--out", str(tmp_path / "s.csv"), "--dump-config", str(cfg))
+    assert code == 0 and "\nthreads = " not in cfg.read_text()
+
+
+def test_config_with_threads_for_sweep_rejected(capsys, tmp_path):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("command = sweep\nM-values = 2\nthreads = 1\n")
+    code, _, err = run(capsys, "--config", str(cfg))
+    assert code == 2 and "threads" in err
+
+
+def test_list_flag_and_config_value_parse_alike(capsys, tmp_path):
+    flag_cfg, file_cfg = tmp_path / "flag.cfg", tmp_path / "file.cfg"
+    args = ("--rho-values", "0", *GRID, "--out", str(tmp_path / "x.csv"))
+    code, _, _ = run(capsys, "sweep", "--M-values", "2,,3", *args,
+                     "--dump-config", str(flag_cfg))
+    assert code == 0
+    (tmp_path / "in.cfg").write_text("command = sweep\nM-values = 2,,3\n")
+    code, _, _ = run(capsys, "--config", str(tmp_path / "in.cfg"), *args,
+                     "--dump-config", str(file_cfg))
+    assert code == 0
+    assert "M-values = 2,3" in flag_cfg.read_text()
+    assert flag_cfg.read_text() == file_cfg.read_text()
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    from ccdp import cli
+
+    def broken(resolved):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", broken)
+    code, _, err = run(capsys, "bounds", "--M", "2", "--P", "10", "--c2", "4")
+    assert code == 3 and err == "RuntimeError: boom\n"
 
 
 def test_usage_without_command(capsys):
@@ -295,12 +367,11 @@ def test_bare_config_flag_exits_2(capsys):
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_thread_count_below_one_rejected(capsys, threads):
-    code, _, err = run(capsys, "bounds", "--M", "2", "--P", "10", "--c2", "4",
-                       "--threads", threads)
+    code, _, err = run(capsys, *SIMULATE, "--threads", threads)
     assert code == 2 and "threads" in err
 
 
 def test_thread_count_env_zero_rejected(capsys, monkeypatch):
     monkeypatch.setenv("CCDP_THREADS", "0")
-    code, _, err = run(capsys, "bounds", "--M", "2", "--P", "10", "--c2", "4")
+    code, _, err = run(capsys, *SIMULATE)
     assert code == 2 and "threads" in err

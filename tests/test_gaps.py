@@ -1,6 +1,6 @@
 """Sweeps, certification, audit and serialization."""
 
-from math import log2, sqrt
+from math import inf, log2, nan, sqrt
 
 import numpy as np
 import pytest
@@ -9,7 +9,13 @@ from ccdp import (
     APPENDIX_FORM,
     APPENDIX_LOOSENED,
     THEOREM,
+    CcdpError,
     ChannelParams,
+    DomainError,
+    InfeasibleRho,
+    InvalidGain,
+    InvalidM,
+    InvalidPower,
     SweepGrid,
     WrongModel,
     ccdp2_inner,
@@ -70,6 +76,39 @@ def test_empty_axis_rejected():
         SweepGrid((), (10.0,), (4.0,))
 
 
+@pytest.mark.parametrize("over, error", [
+    (dict(m_values=(1, 2)), InvalidM),
+    (dict(m_values=(2.0,)), InvalidM),
+    (dict(p_values=(nan, 10.0)), InvalidPower),
+    (dict(p_values=(0.0,)), InvalidPower),
+    (dict(p_values=(inf,)), InvalidPower),
+    (dict(c2_values=(-1.0, 4.0)), InvalidGain),
+    (dict(c2_values=(nan,)), InvalidGain),
+    (dict(c2_values=(inf,)), InvalidGain),
+    (dict(rho_values=(nan,)), InfeasibleRho),
+    (dict(rho_values=(0.0, -inf)), InfeasibleRho),
+    (dict(p_values=()), CcdpError),
+    (dict(c2_values=()), CcdpError),
+    (dict(rho_values=()), CcdpError),
+    (dict(m_values=(2, 2)), CcdpError),
+    (dict(p_values=(10.0, 10.0)), CcdpError),
+    (dict(c2_values=(4.0, 9.0, 4.0)), CcdpError),
+    (dict(rho_values=(0.0, 0.5, 0.0)), CcdpError),
+    (dict(rho_points=0), CcdpError),
+])
+def test_grid_rejects_invalid_axes(over, error):
+    kw = dict(m_values=(2, 3), p_values=(10.0,), c2_values=(4.0,),
+              rho_values=(0.0,))
+    kw.update(over)
+    with pytest.raises(error):
+        SweepGrid(**kw)
+
+
+def test_grid_size_counts_every_row():
+    g = SweepGrid((3, 2), (10.0, 50.0), (4.0,), (0.0, 0.6, -0.6))
+    assert g.size() == len(run_sweep(g).rows) == 2 * 1 * (3 + 2)
+
+
 # ---------------------------------------------------------------------------
 # Sweeps.
 # ---------------------------------------------------------------------------
@@ -107,26 +146,6 @@ def test_sweep_standard_two_receiver_grid_max_gap_one():
     g = standard_grid(m_values=(2,), rho_values=(0.0,))
     report = run_sweep(g)
     assert report.max_gap == pytest.approx(1.0, abs=1e-9)
-
-
-def test_sweep_errors_become_row_markers(monkeypatch):
-    from ccdp import DomainError
-    from ccdp import gaps as gaps_mod
-
-    real = gaps_mod.bounds.ccdp_es_inner
-
-    def flaky(p):
-        if p.M == 3 and abs(p.c2 - 4.0) < 1e-9:
-            raise DomainError("synthetic failure")
-        return real(p)
-
-    monkeypatch.setattr(gaps_mod.bounds, "ccdp_es_inner", flaky)
-    g = SweepGrid((3,), (10.0,), (2.0, 4.0, 9.0), (0.0,))
-    report = run_sweep(g)
-    errs = [r for r in report.rows if r.error is not None]
-    assert len(errs) == 1 and errs[0].error == "DomainError"
-    assert errs[0].inner_branch == "error:DomainError"
-    assert len(report.rows) == 3  # the sweep did not abort
 
 
 def test_sweep_deterministic_csv():
@@ -279,7 +298,7 @@ def test_gap_nonnegative_on_appendix_runs():
     for theorem in ("Th3", "Th4", "Th6"):
         grid = theorem_grid(theorem, small_grid())
         report = certify_theorem(theorem, grid)
-        assert all(r.gap >= -1e-12 for r in report.rows if r.error is None)
+        assert all(r.gap >= -1e-12 for r in report.rows)
 
 
 def test_report_summary_shape():
@@ -325,6 +344,12 @@ def test_fig3_matches_golden_section_oracle():
         assert opt == pytest.approx(res.fun, abs=1e-7)
 
 
+@pytest.mark.parametrize("P", [0.0, nan, inf])
+def test_fig3_rejects_invalid_power(P):
+    with pytest.raises(InvalidPower):
+        fig3_curve(P, [1.0])
+
+
 # ---------------------------------------------------------------------------
 # Monotonicity audit.
 # ---------------------------------------------------------------------------
@@ -355,6 +380,13 @@ def test_audit_constant_slice_clean():
                   tuple(np.logspace(np.log10(3.01), 5, 25)), (1.0,))
     assert monotonicity_audit(
         g, families=("inner-es", "outer-es-appendix", "outer-es-theorem")) == []
+
+
+def test_audit_propagates_errors_other_than_wrong_model():
+    # the raw outer bound is undefined at c = 0; that is not a skipped slice
+    g = SweepGrid((2, 3), (10.0,), (0.0, 4.0), (0.0,))
+    with pytest.raises(DomainError):
+        monotonicity_audit(g, ("outer-2-raw",))
 
 
 def test_audit_family_registry():
