@@ -24,7 +24,7 @@ variants are retained to surface where the two disagree.
 """
 
 from dataclasses import dataclass
-from math import log2, sqrt
+from math import inf, log2, sqrt
 
 import numpy as np
 
@@ -75,11 +75,12 @@ class PowerSplit:
         return 1.0 - self.alpha_bar
 
 
-def _require_model(params, *, M=None, rho=None):
-    if M is not None and params.M != M:
-        raise WrongModel(f"bound requires M={M}, got M={params.M}")
-    if rho is not None and params.rho != rho:
-        raise WrongModel(f"bound requires rho={rho}, got rho={params.rho}")
+def _require_model(M, rho, model_M=None, model_rho=None):
+    # The one applicability rule of a bound, for its scalar and plane forms.
+    if model_M is not None and M != model_M:
+        raise WrongModel(f"bound requires M={model_M}, got M={M}")
+    if model_rho is not None and rho != model_rho:
+        raise WrongModel(f"bound requires rho={model_rho}, got rho={rho}")
 
 
 def _log2_pos(x):
@@ -105,7 +106,7 @@ def baseline_outer_2(params):
     Kept as a baseline: it tends to 1/4*log2(1+P) for large gains, so it is
     weaker than the optimized bounds below except at small P.
     """
-    _require_model(params, M=2, rho=0.0)
+    _require_model(params.M, params.rho, 2, 0.0)
     P, c, c2 = params.P, params.c, params.c2
     s = 1.0 + P + c2 + 2.0 * c * sqrt(P)
     if c2 < 4.0:
@@ -118,7 +119,7 @@ def baseline_outer_2(params):
 
 def baseline_inner_2(params):
     """Earlier two-receiver inner bound; branch points c2 = 2 and c2 = 2(P+1)."""
-    _require_model(params, M=2, rho=0.0)
+    _require_model(params.M, params.rho, 2, 0.0)
     P, c2 = params.P, params.c2
     if c2 <= 2.0:
         return BoundResult(0.5 * log2(1.0 + P / (c2 / 2.0 + 1.0)),
@@ -135,7 +136,7 @@ def baseline_outer_m(params):
     Single expression; the positive-part term activates at c2 = M(P+1).
     Requires c > 0 (the expression contains log2(c2)).
     """
-    _require_model(params, rho=0.0)
+    _require_model(params.M, params.rho, model_rho=0.0)
     M, P, c, c2 = params.M, params.P, params.c, params.c2
     if c2 <= 0.0:
         raise DomainError("baseline M-receiver outer bound needs c > 0")
@@ -178,7 +179,7 @@ def ccdp2_outer(params, variant=THEOREM):
     ``appendix-loosened`` uses -1/4*log2(c2), and ``raw-unoptimized`` is the
     middle expression alone, without clamping to the trivial/high branches.
     """
-    _require_model(params, M=2, rho=0.0)
+    _require_model(params.M, params.rho, 2, 0.0)
     if variant == RAW:
         return BoundResult(_outer2_raw(params.P, params.c2), "raw", RAW, params)
     if variant not in (THEOREM, APPENDIX_LOOSENED):
@@ -192,7 +193,7 @@ def ccdp2_inner(params):
 
     Equals the maximum over the power split of ``ccdp_m_inner_raw`` at M=2.
     """
-    _require_model(params, M=2, rho=0.0)
+    _require_model(params.M, params.rho, 2, 0.0)
     value, branch = _inner_m_value(2, params.P, params.c2)
     branch = {BR_LOW_M: BR_LOW_2, BR_TIME_SHARING: BR_HIGH_2}.get(branch, branch)
     return BoundResult(value, branch, THEOREM, params)
@@ -220,7 +221,7 @@ def ccdp_m_inner_raw(params, alpha_bar):
     1/2*log2(1 + aP/(c2+abP+1)) + 1/(2M)*log2(1+abP), where the pre-coded
     layer carries alpha_bar of the power and is live 1/M of the time.
     """
-    _require_model(params, rho=0.0)
+    _require_model(params.M, params.rho, model_rho=0.0)
     if not 0.0 <= alpha_bar <= 1.0:
         raise InvalidSplit(f"alpha_bar must be in [0, 1], got {alpha_bar!r}")
     value = _inner_raw_value(params.M, params.P, params.c2, alpha_bar)
@@ -249,7 +250,7 @@ def _inner_m_value(M, P, c2):
 
 def ccdp_m_inner(params):
     """Optimized M-receiver inner bound; see ``_inner_m_value`` for branches."""
-    _require_model(params, rho=0.0)
+    _require_model(params.M, params.rho, model_rho=0.0)
     value, branch = _inner_m_value(params.M, params.P, params.c2)
     return BoundResult(value, branch, THEOREM, params)
 
@@ -279,7 +280,7 @@ def ccdp_m_outer(params, variant=THEOREM):
     not certified against); ``appendix-form`` is non-increasing in the gain
     and is the variant the gap certificates use.
     """
-    _require_model(params, rho=0.0)
+    _require_model(params.M, params.rho, model_rho=0.0)
     if variant not in (THEOREM, APPENDIX_FORM):
         raise ValueError(f"unknown variant {variant!r}")
     value, branch = _outer_m_value(params.M, params.P, params.c2, variant)
@@ -327,6 +328,121 @@ def ccdp_es_outer(params, variant=THEOREM):
     else:
         value, branch = _outer_m_value(M, P, ceff2, THEOREM)
     return BoundResult(value, branch, variant, params)
+
+
+# ---------------------------------------------------------------------------
+# Plane twins: the kernels above over a column of powers and a row of gains.
+# They repeat the scalar expressions operation for operation, so each entry
+# equals the scalar value exactly; the scalar functions are their reference.
+# ---------------------------------------------------------------------------
+
+# Branch labels by code; the twins return codes into this tuple.
+BRANCHES = (BR_LOW_2, BR_MIDDLE, BR_HIGH_2, BR_LOW_M, BR_HIGH_M,
+            BR_TIME_SHARING, "raw", "c2<4", "c2>=4")
+
+# _require_model arguments of the public bounds that apply to one model only.
+_MODELS = {"ccdp2_inner": (2, 0.0), "ccdp2_outer": (2, 0.0),
+           "baseline_outer_2": (2, 0.0), "ccdp_m_inner": (None, 0.0),
+           "ccdp_m_outer": (None, 0.0)}
+
+
+def _log2_plane(x):
+    # math.log2 per element: np.log2 differs from it in the last ulp on
+    # 1 in 300 to 1 in 20,000 inputs, depending on their range.
+    return np.fromiter(map(log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _pieces(t1, t2, pieces, c2, P, *more):
+    """Values and branch codes of three (label, fn) pieces on c2 <= t1,
+    t1 < c2 < t2 and c2 >= t2.  fn(c2, P, *more) sees only the elements of
+    its own piece, so no expression is evaluated off its branch."""
+    t1, t2, c2, P, *more = np.broadcast_arrays(t1, t2, c2, P, *more)
+    low = c2 <= t1
+    high = ~low & (c2 >= t2)
+    values, codes = np.empty(c2.shape), np.empty(c2.shape, np.int8)
+    for mask, (label, fn) in zip((low, ~(low | high), high), pieces):
+        if mask.any():
+            values[mask] = fn(c2[mask], P[mask], *(a[mask] for a in more))
+            codes[mask] = BRANCHES.index(label)
+    return values, codes
+
+
+def _outer2_raw_plane(c2, P):
+    return 0.5 * _log2_plane(P + c2 + 1.0) - 0.25 * _log2_plane(c2) + 0.5
+
+
+def _outer2_plane(P, c2, stated_middle, high):
+    def stated(c2, P):
+        return 0.5 * _log2_plane(P + c2 + 1.0) - 0.25 * _log2_plane(c2 + 1.0) + 0.5
+    return _pieces(1.0, P + 1.0, (
+        (BR_LOW_2, lambda c2, P: 0.5 * _log2_plane(P + 1.0)),
+        (BR_MIDDLE, stated if stated_middle else _outer2_raw_plane),
+        (BR_HIGH_2, lambda c2, P: 0.25 * _log2_plane(P + 1.0) + high)), c2, P)
+
+
+def _inner_m_plane(M, P, c2, labels):
+    k = (M - 1) / (2.0 * M)
+    return _pieces(M - 1.0, P + 1.0, zip(labels, (
+        lambda c2, P: 0.5 * _log2_plane(1.0 + P / (1.0 + c2)),
+        lambda c2, P: 0.5 * _log2_plane(P + c2 + 1.0) - k * _log2_plane(c2) - 0.5,
+        lambda c2, P: 1.0 / (2.0 * M) * _log2_plane(1.0 + P))), c2, P)
+
+
+def _outer_m_plane(M, P, c2, variant):
+    k = (M - 1) / (2.0 * M)
+    if variant == THEOREM:
+        def middle(c2, P):
+            return 1.0 / (2.0 * M) * _log2_plane(1.0 + P) + k * _log2_plane(c2) + 1.5
+
+        def high(c2, P):
+            return 1.0 / (2.0 * M) * _log2_plane(1.0 + P) + 2.0
+    else:
+        def middle(c2, P):  # appendix form: the gain clamped at its minimizer
+            c2 = np.minimum(c2, (M - 1.0) * (P + 1.0))
+            return 0.5 * _log2_plane(1.0 + P + c2) - k * _log2_plane(c2) + 1.5
+        high = middle
+    return _pieces(M - 1.0, (M - 1.0) * (P + 1.0), (
+        (BR_LOW_M, lambda c2, P: 0.5 * _log2_plane(1.0 + P / (1.0 + c2)) + 2.25),
+        (BR_MIDDLE, middle), (BR_HIGH_M, high)), c2, P)
+
+
+def _baseline_outer_2_plane(P, c):
+    c2 = c * c
+    s = 1.0 + P + c2 + 2.0 * c * np.sqrt(P)
+
+    def low(c2, P, s):
+        return 0.25 * _log2_plane((1.0 + P) / (c2 / 4.0 + 1.0)) \
+            + 0.25 * _log2_plane(s / (c2 / 4.0 + 1.0))
+
+    def high(c2, P, s):
+        return 0.25 * _log2_plane(1.0 + P) - 0.25 * _log2_plane(c2) \
+            + 0.25 * _log2_plane(s)
+    # c2 < 4 is c2 <= the float below 4, so the middle piece is empty.
+    return _pieces(np.nextafter(4.0, 0.0), 4.0,
+                   (("c2<4", low), (None, None), ("c2>=4", high)), c2, P, s)
+
+
+def _plane(bound, M, P, c, rho, variant=None):
+    """Twin of the public bound named ``bound`` at one (M, rho): (values,
+    branch codes) over a column of powers P times a row of gains c, under
+    the same WrongModel rule and the same effective gain (c*c)(1-max(rho, 0))."""
+    _require_model(M, rho, *_MODELS.get(bound, ()))
+    c2 = (c * c) * (1.0 - max(rho, 0.0))
+    if bound == "baseline_outer_2":
+        return _baseline_outer_2_plane(P, c)
+    if bound == "ccdp2_inner":
+        return _inner_m_plane(2, P, c2, (BR_LOW_2, BR_MIDDLE, BR_HIGH_2))
+    if bound.endswith("_inner"):
+        return _inner_m_plane(M, P, c2, (BR_LOW_M, BR_MIDDLE, BR_TIME_SHARING))
+    if variant == RAW:
+        if np.any(c2 <= 0.0):
+            raise DomainError("raw outer bound needs c > 0")
+        return _pieces(-inf, inf, [("raw", _outer2_raw_plane)] * 3, c2, P)
+    if bound == "ccdp2_outer":
+        return _outer2_plane(P, c2, variant == THEOREM, 1.0)
+    if bound == "ccdp_es_outer" and variant == THEOREM and M == 2:
+        return _outer2_plane(P, c2, False, 0.5)
+    return _outer_m_plane(M, P, c2, variant)
 
 
 # ---------------------------------------------------------------------------

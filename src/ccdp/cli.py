@@ -33,6 +33,16 @@ def int_list(text):
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
+def _format_opt(*formats):
+    """The format option: the first format is the default, and no value
+    outside the list is accepted."""
+    def convert(text):
+        if text not in formats:
+            raise ValueError(f"must be one of {formats}, got {text!r}")
+        return text
+    return Opt(convert, formats[0], ", ".join(formats))
+
+
 COMMANDS = ("bounds", "sweep", "certify", "fig3", "simulate", "audit")
 
 _GRID_OPTS = {
@@ -59,23 +69,23 @@ _COMMON_OPTS = {"out": Opt(str, "-", "output path, '-' for stdout")}
 
 OPTION_TABLES = {
     "bounds": {**_POINT_OPTS, **_COMMON_OPTS,
-               "format": Opt(str, "text", "text, csv or json")},
+               "format": _format_opt("text", "csv", "json")},
     "sweep": {**_GRID_OPTS, **_COMMON_OPTS,
               "outer-variant": Opt(str, bounds.APPENDIX_FORM,
                                    "outer bound variant for the sweep"),
-              "format": Opt(str, "csv", "csv or json")},
+              "format": _format_opt("csv", "json")},
     "certify": {**_GRID_OPTS, **_COMMON_OPTS,
                 "theorem": Opt(str, None, "one of Th3, Th4, Th5, Th6"),
                 "variant": Opt(str, "appendix",
                                "appendix or theorem-statement outer"),
                 "rows-out": Opt(str, None, "optional CSV path for the grid rows"),
-                "format": Opt(str, "json", "csv or json")},
+                "format": _format_opt("json", "csv")},
     "fig3": {"P": Opt(float, 10.0, "transmit power"),
              "c-min": Opt(float, 0.1, "gain range lower end"),
              "c-max": Opt(float, 10.0, "gain range upper end"),
              "points": Opt(int, 200, "number of gain points"),
              **_COMMON_OPTS,
-             "format": Opt(str, "csv", "csv or json")},
+             "format": _format_opt("csv", "json")},
     "simulate": {**_POINT_OPTS, **_COMMON_OPTS,
                  "target": Opt(str, "san", "san, gp, scheme or decomposition"),
                  "alpha-bar": Opt(float, None,
@@ -85,11 +95,11 @@ OPTION_TABLES = {
                  "lam": Opt(float, None, "inflation factor override (gp only)"),
                  "threads": Opt(int, None, "Monte Carlo worker threads "
                                            "(default: CCDP_THREADS or 1)"),
-                 "format": Opt(str, "json", "json")},
+                 "format": _format_opt("json")},
     "audit": {**_GRID_OPTS, **_COMMON_OPTS,
               "families": Opt(str, "optimized",
                               "'optimized', 'all' or comma list of families"),
-              "format": Opt(str, "csv", "csv or json")},
+              "format": _format_opt("csv", "json")},
 }
 
 
@@ -117,7 +127,9 @@ def read_config_file(path):
 
 
 def resolve_config(command, flag_values, file_values):
-    """Merge defaults, config file and flags (flags win)."""
+    """Merge defaults, config file and flags (flags win); one converter per
+    option turns the text of a flag or of a file line into its value, and a
+    text it rejects is a CcdpError naming the option."""
     table = OPTION_TABLES[command]
     unknown = set(file_values) - set(table) - {"command"}
     if unknown:
@@ -126,12 +138,12 @@ def resolve_config(command, flag_values, file_values):
             f"{command}: {sorted(table)}")
     resolved = {}
     for name, opt in table.items():
-        if flag_values.get(name) is not None:
-            resolved[name] = flag_values[name]
-        elif name in file_values:
-            resolved[name] = opt.type(file_values[name])
-        else:
-            resolved[name] = opt.default
+        text = flag_values.get(name)
+        text = file_values.get(name) if text is None else text
+        try:
+            resolved[name] = opt.default if text is None else opt.type(text)
+        except ValueError as exc:
+            raise CcdpError(f"{name}: {exc}") from None
     if "threads" in table:
         if resolved["threads"] is None:
             env = os.environ.get("CCDP_THREADS", "1")
@@ -165,8 +177,7 @@ def config_hash(command, resolved):
 def _build_parser(command):
     parser = argparse.ArgumentParser(prog=f"ccdp {command}", description=None)
     for name, opt in OPTION_TABLES[command].items():
-        parser.add_argument(f"--{name}", type=opt.type, default=None,
-                            dest=name, help=opt.help)
+        parser.add_argument(f"--{name}", default=None, dest=name, help=opt.help)
     parser.add_argument("--config", default=None, help="config file path")
     parser.add_argument("--dump-config", default=None, dest="dump_config",
                         help="write the resolved config to this path")
@@ -206,6 +217,7 @@ def _envelope(command, resolved, results, max_gap=None, certified=None,
 
 
 def _params_from(opts):
+    """(ChannelParams, squared gain) of the --c2 or --c option."""
     c2, c = opts.get("c2"), opts.get("c")
     if c2 is None and c is None:
         raise CcdpError("one of --c2 or --c is required")
@@ -215,7 +227,7 @@ def _params_from(opts):
         c2 = c * c
     if c2 < 0:
         raise CcdpError(f"--c2 must be >= 0, got {c2}")
-    return ChannelParams(opts["M"], opts["P"], sqrt(c2), opts["rho"])
+    return ChannelParams(opts["M"], opts["P"], sqrt(c2), opts["rho"]), c2
 
 
 def _log_axis(opts, name, axis):
@@ -224,7 +236,13 @@ def _log_axis(opts, name, axis):
     lo, hi = (gaps.AXIS_CHECKS[axis](opts[f"{name}-{end}"]) for end in ("min", "max"))
     if not (lo > 0.0 and hi > 0.0):
         raise CcdpError(f"--{name}-min and --{name}-max must be > 0 on a log axis")
-    return tuple(np.logspace(log10(lo), log10(hi), opts[f"{name}-points"]))
+    return tuple(np.logspace(log10(lo), log10(hi), _count(opts, f"{name}-points")))
+
+
+def _count(opts, name):
+    if opts[name] < 1:
+        raise CcdpError(f"{name} must be >= 1, got {opts[name]}")
+    return opts[name]
 
 
 def _grid_from(opts):
@@ -251,11 +269,11 @@ def _estimate_dict(est):
 # ---------------------------------------------------------------------------
 
 def cmd_bounds(resolved):
-    params = _params_from(resolved)
-    inner_fn, outer_fn, variant = gaps.bound_pair(params.M, params.rho,
-                                                  bounds.APPENDIX_FORM)
-    _, theorem_fn, theorem_variant = gaps.bound_pair(params.M, params.rho,
-                                                     bounds.THEOREM)
+    params, c2 = _params_from(resolved)
+    inner_fn, outer_fn, variant, *_ = gaps.bound_pair(params.M, params.rho,
+                                                      bounds.APPENDIX_FORM)
+    _, theorem_fn, theorem_variant, *_ = gaps.bound_pair(params.M, params.rho,
+                                                         bounds.THEOREM)
     inner = inner_fn(params)
     appendix = outer_fn(params, variant)
     theorem = theorem_fn(params, theorem_variant)
@@ -271,11 +289,10 @@ def cmd_bounds(resolved):
             "gap": gap,
         }
         _write(_envelope("bounds", resolved, results, max_gap=gap), resolved["out"])
-    elif resolved["format"] == "csv":
-        row = gaps.GapRow(params.M, params.P, params.c, params.rho,
-                          appendix.variant, inner.value, appendix.value, gap,
-                          inner.branch, appendix.branch)
-        _write(gaps.rows_to_csv([row], _meta("bounds", resolved)), resolved["out"])
+    elif resolved["format"] == "csv":  # the sweep row of this point
+        point = gaps.SweepGrid((params.M,), (params.P,), (c2,), (params.rho,))
+        _write(gaps.rows_to_csv(gaps.run_sweep(point), _meta("bounds", resolved)),
+               resolved["out"])
     else:
         _write(
             f"inner {inner.value:.6f}\n"
@@ -297,7 +314,7 @@ def cmd_sweep(resolved):
                          max_gap=report.max_gap, warnings=report.warnings),
                resolved["out"])
     else:
-        _write(gaps.rows_to_csv(report.rows, _meta("sweep", resolved)),
+        _write(gaps.rows_to_csv(report, _meta("sweep", resolved)),
                resolved["out"])
     print(f"sweep: maxGap={report.max_gap:.6f} at "
           f"{gaps.report_summary(report)['argmax']}", file=sys.stderr)
@@ -312,10 +329,10 @@ def cmd_certify(resolved):
     grid = gaps.theorem_grid(theorem, _grid_from(resolved))
     report = gaps.certify_theorem(theorem, grid, variant_kind=variant)
     if resolved["rows-out"]:
-        _write(gaps.rows_to_csv(report.rows, _meta("certify", resolved)),
+        _write(gaps.rows_to_csv(report, _meta("certify", resolved)),
                resolved["rows-out"])
     if resolved["format"] == "csv":
-        _write(gaps.rows_to_csv(report.rows, _meta("certify", resolved)),
+        _write(gaps.rows_to_csv(report, _meta("certify", resolved)),
                resolved["out"])
     else:
         _write(_envelope("certify", resolved, gaps.report_summary(report),
@@ -329,7 +346,8 @@ def cmd_certify(resolved):
 
 
 def cmd_fig3(resolved):
-    c_values = np.linspace(resolved["c-min"], resolved["c-max"], resolved["points"])
+    c_values = np.linspace(resolved["c-min"], resolved["c-max"],
+                           _count(resolved, "points"))
     rows = gaps.fig3_curve(resolved["P"], c_values)
     if resolved["format"] == "json":
         results = [{"c": c, "raw_outer": r, "optimized_outer": o}
@@ -345,10 +363,8 @@ def cmd_fig3(resolved):
 
 
 def cmd_simulate(resolved):
-    params = _params_from(resolved)
+    params, _ = _params_from(resolved)
     target = resolved["target"]
-    if target not in mc.TARGETS:
-        raise CcdpError(f"--target must be one of {mc.TARGETS}, got {target!r}")
     ab = resolved["alpha-bar"]
     if ab is None:
         ab = bounds.alpha_star(params).alpha_bar

@@ -12,8 +12,9 @@ runs over the same grid produce byte-identical CSV.
 """
 
 import json
-from dataclasses import dataclass, field, replace
-from math import inf, isfinite, log2, sqrt
+from dataclasses import astuple, dataclass, field, replace
+from functools import partial
+from math import inf, isfinite, prod, sqrt
 
 import numpy as np
 
@@ -23,12 +24,14 @@ from .model import ChannelParams, rho_range
 
 GAP_TOL = 1e-9
 MONOTONE_TOL = 1e-9
+CSV_CHUNK = 1 << 15
 SMALL_P = 3.0
 SMALL_C2 = 3.0
 
 CLAIMED_GAP = {"Th3": 1.0, "Th4": 2.25, "Th5": 2.25, "Th6": 2.25}
 THEOREMS = tuple(CLAIMED_GAP)
 
+# The CSV header and the JSON keys of a row, in GapRow field order.
 CSV_COLUMNS = ("M", "P", "c", "rho", "variant",
                "inner_bpcu", "outer_bpcu", "gap_bpcu",
                "inner_branch", "outer_branch")
@@ -45,24 +48,26 @@ def normalize_variant(token):
 
 
 def bound_pair(M, rho, variant, theorem=None):
-    """(inner, outer, outer variant) of the public bounds for an (M, rho) slice.
+    """(inner, outer, outer variant, inner plane, outer plane) for an (M, rho)
+    slice: two public bounds, named by model, and their plane twins.
 
     ``variant`` is a normalized family.  theorem=None is the sweep rule: the
     dedicated two-receiver pair at M = 2 with independent states, the
     correlated-states pair everywhere else.  Th3 uses the two-receiver pair,
     Th4 the independent-state M-receiver pair, Th5/Th6 the correlated-states
-    pair.  The two-receiver appendix family is the loosened form.
+    pair.  The two-receiver appendix family is the loosened form.  A plane is
+    called as plane(M, P, c, rho, variant); see ``bounds._plane``.
     """
     if theorem is None:
         theorem = "Th3" if M == 2 and rho == 0.0 else "Th6"
-    if theorem == "Th3":
-        outer = bounds.APPENDIX_LOOSENED if variant == bounds.APPENDIX_FORM else variant
-        return bounds.ccdp2_inner, bounds.ccdp2_outer, outer
-    if theorem == "Th4":
-        return bounds.ccdp_m_inner, bounds.ccdp_m_outer, variant
-    if theorem in ("Th5", "Th6"):
-        return bounds.ccdp_es_inner, bounds.ccdp_es_outer, variant
-    raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
+    family = {"Th3": "ccdp2", "Th4": "ccdp_m", "Th5": "ccdp_es", "Th6": "ccdp_es"}
+    if theorem not in family:
+        raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
+    if theorem == "Th3" and variant == bounds.APPENDIX_FORM:
+        variant = bounds.APPENDIX_LOOSENED
+    inner, outer = f"{family[theorem]}_inner", f"{family[theorem]}_outer"
+    return (getattr(bounds, inner), getattr(bounds, outer), variant,
+            partial(bounds._plane, inner), partial(bounds._plane, outer))
 
 
 # Per-axis value checks: the ChannelParams check of the field fed (c2 as c).
@@ -108,7 +113,7 @@ class SweepGrid:
         """Feasible correlation values for this M, in axis order."""
         lo, hi = rho_range(M)
         if self.rho_values is None:
-            return tuple(np.linspace(lo, hi, self.rho_points))
+            return tuple(np.linspace(lo, hi, self.rho_points).tolist())
         return tuple(r for r in self.rho_values if lo - 1e-12 <= r <= hi + 1e-12)
 
     def size(self):
@@ -146,12 +151,22 @@ class GapRow:
     small_regime: bool = False
 
 
+# Column dtypes of a GapReport, in GapRow field order.
+COLUMNS = {"M": int, "P": float, "c": float, "rho": float, "variant": object,
+           "inner": float, "outer": float, "gap": float, "inner_branch": np.int8,
+           "outer_branch": np.int8, "small_regime": bool}
+
+
 @dataclass
 class GapReport:
-    """Sweep output plus the grid-wide gap certificate."""
+    """Sweep output plus the grid-wide gap certificate.
 
-    rows: list
+    ``columns`` holds one array per GapRow field, in row order; the branch
+    columns are codes into bounds.BRANCHES.
+    """
+
     grid: SweepGrid
+    columns: dict
     claimed_gap: float | None = None
     theorem: str | None = None
     max_gap: float = -inf
@@ -161,24 +176,32 @@ class GapReport:
     small_regime_rows: int = 0
     warnings: list = field(default_factory=list)
 
+    def __len__(self):
+        return len(self.columns["gap"])
+
+    def row(self, i):
+        """Row i as a GapRow of plain Python scalars."""
+        cells = {name: col.item(i) for name, col in self.columns.items()}
+        for name in ("inner_branch", "outer_branch"):
+            cells[name] = bounds.BRANCHES[cells[name]]
+        return GapRow(**cells)
+
     def finalize(self):
-        """Recompute the certificate from the rows (pure function of them)."""
-        regular = [r for r in self.rows if not r.small_regime]
-        small = [r for r in self.rows if r.small_regime]
-        self.small_regime_rows = len(small)
+        """Recompute the certificate from the columns (pure function of them)."""
+        gap, small = self.columns["gap"], self.columns["small_regime"]
+        regular = np.flatnonzero(~small)
+        self.small_regime_rows = len(gap) - len(regular)
         self.max_gap, self.min_gap, self.argmax = -inf, inf, None
-        for r in regular:
-            if r.gap > self.max_gap:
-                self.max_gap, self.argmax = r.gap, r
-            self.min_gap = min(self.min_gap, r.gap)
+        if len(regular):
+            i = regular[np.argmax(gap[regular])]  # the first maximum
+            self.max_gap, self.min_gap = gap.item(i), gap[regular].min().item()
+            self.argmax = self.row(i)
         if self.claimed_gap is not None:
-            covered = all(
-                r.gap <= self.claimed_gap + GAP_TOL
-                or 0.5 * log2(1.0 + r.P) <= self.claimed_gap + GAP_TOL
-                for r in small
-            )
-            self.certified = covered and self.max_gap <= self.claimed_gap + GAP_TOL
-        negatives = sum(1 for r in regular + small if r.gap < -GAP_TOL)
+            limit = self.claimed_gap + GAP_TOL
+            trivial = 0.5 * bounds._log2_plane(1.0 + self.columns["P"][small])
+            covered = np.all((gap[small] <= limit) | (trivial <= limit))
+            self.certified = bool(covered) and self.max_gap <= limit
+        negatives = np.count_nonzero(gap < -GAP_TOL)
         if negatives:
             self.warnings.append(
                 f"{negatives} grid points have the outer bound below the inner "
@@ -188,29 +211,38 @@ class GapReport:
         return self
 
 
-def _evaluate_rows(grid, theorem=None):
-    """One row per feasible grid point, lexicographic in (M, P, c2, rho).
+def _evaluate_columns(grid, theorem=None):
+    """Columns of every feasible grid point, rows lexicographic in
+    (M, P, c2, rho).
 
-    The bound pair is resolved once per (M, rho) slice; the variant column
-    records the outer bound variant actually evaluated.
+    Each (M, rho) slice is one P x c2 plane, evaluated by the plane twins of
+    the pair ``bound_pair`` picks for it; the variant column records the
+    outer bound variant actually evaluated.
     """
-    rows = []
+    P = np.array(sorted(grid.p_values))[:, None]
+    c2 = np.array(sorted(grid.c2_values))
+    c = np.sqrt(c2)
+    columns = {name: np.empty(grid.size(), dtype) for name, dtype in COLUMNS.items()}
+    start = 0
     for M in sorted(grid.m_values):
-        slices = [(rho, *bound_pair(M, rho, grid.outer_variant, theorem))
-                  for rho in sorted(grid.rho_axis(M))]
-        for P in sorted(grid.p_values):
-            for c2 in sorted(grid.c2_values):
-                c = sqrt(c2)
-                small = P <= SMALL_P or c2 <= SMALL_C2
-                for rho, inner_fn, outer_fn, variant in slices:
-                    params = ChannelParams(M, P, c, rho)
-                    inner = inner_fn(params)
-                    outer = outer_fn(params, variant)
-                    rows.append(GapRow(M, P, c, rho, outer.variant,
-                                       inner.value, outer.value,
-                                       outer.value - inner.value,
-                                       inner.branch, outer.branch, small))
-    return rows
+        rhos = sorted(grid.rho_axis(M))
+        shape = (P.size, c.size, len(rhos))
+        block = {name: col[start:start + prod(shape)].reshape(shape)
+                 for name, col in columns.items()}
+        start += prod(shape)
+        block["M"][...] = M
+        block["P"][...] = P[..., None]
+        block["c"][...] = c[:, None]
+        block["rho"][...] = rhos
+        block["small_regime"][...] = ((P <= SMALL_P) | (c2 <= SMALL_C2))[..., None]
+        for k, rho in enumerate(rhos):
+            *_, variant, inner, outer = bound_pair(M, rho, grid.outer_variant, theorem)
+            block["variant"][..., k] = variant
+            block["inner"][..., k], block["inner_branch"][..., k] = inner(M, P, c, rho)
+            block["outer"][..., k], block["outer_branch"][..., k] = \
+                outer(M, P, c, rho, variant)
+        np.subtract(block["outer"], block["inner"], out=block["gap"])
+    return columns
 
 
 def run_sweep(grid):
@@ -219,7 +251,7 @@ def run_sweep(grid):
     Each point is evaluated with the pair ``bound_pair`` picks for its model;
     the grid's outer variant selects the as-stated or the appendix family.
     """
-    return GapReport(rows=_evaluate_rows(grid), grid=grid).finalize()
+    return GapReport(grid, _evaluate_columns(grid)).finalize()
 
 
 def theorem_grid(theorem, grid=None):
@@ -254,7 +286,7 @@ def certify_theorem(theorem, grid, variant_kind="appendix"):
                 raise WrongModel(f"{theorem} applies to independent states (rho=0)")
 
     grid = replace(grid, outer_variant=normalize_variant(variant_kind))
-    report = GapReport(rows=_evaluate_rows(grid, theorem), grid=grid,
+    report = GapReport(grid, _evaluate_columns(grid, theorem),
                        claimed_gap=CLAIMED_GAP[theorem], theorem=theorem).finalize()
     if grid.outer_variant == bounds.THEOREM and theorem in ("Th4", "Th6"):
         report.warnings.append(
@@ -275,7 +307,7 @@ def fig3_curve(P, c_values):
     c_opt = sqrt(ChannelParams(2, P, 0.0).P + 1.0)  # InvalidPower for a bad P
     rows = []
     for c in c_values:
-        c = float(c)
+        c = ChannelParams(2, P, float(c)).c  # InvalidGain for a bad gain
         raw = bounds._outer2_raw(P, c * c)
         clamped = min(c, c_opt)
         optimized = bounds._outer2_raw(P, clamped * clamped)
@@ -283,21 +315,22 @@ def fig3_curve(P, c_values):
     return rows
 
 
-# Families the monotonicity audit can scan.  "optimized" is the default set
-# (the certification forms); the raw/theorem families document where the
+# Families the monotonicity audit can scan: the public bound whose plane twin
+# is scanned, and its outer variant.  "optimized" is the default set (the
+# certification forms); the raw/theorem families document where the
 # un-optimized or as-stated expressions fail to be non-increasing.
 AUDIT_FAMILIES = {
-    "inner-2": lambda p: bounds.ccdp2_inner(p),
-    "outer-2-appendix": lambda p: bounds.ccdp2_outer(p, bounds.APPENDIX_LOOSENED),
-    "inner-m": lambda p: bounds.ccdp_m_inner(p),
-    "outer-m-appendix": lambda p: bounds.ccdp_m_outer(p, bounds.APPENDIX_FORM),
-    "inner-es": lambda p: bounds.ccdp_es_inner(p),
-    "outer-es-appendix": lambda p: bounds.ccdp_es_outer(p, bounds.APPENDIX_FORM),
-    "outer-2-raw": lambda p: bounds.ccdp2_outer(p, bounds.RAW),
-    "outer-2-theorem": lambda p: bounds.ccdp2_outer(p, bounds.THEOREM),
-    "outer-m-theorem": lambda p: bounds.ccdp_m_outer(p, bounds.THEOREM),
-    "outer-es-theorem": lambda p: bounds.ccdp_es_outer(p, bounds.THEOREM),
-    "baseline-outer-2": bounds.baseline_outer_2,
+    "inner-2": ("ccdp2_inner", None),
+    "outer-2-appendix": ("ccdp2_outer", bounds.APPENDIX_LOOSENED),
+    "inner-m": ("ccdp_m_inner", None),
+    "outer-m-appendix": ("ccdp_m_outer", bounds.APPENDIX_FORM),
+    "inner-es": ("ccdp_es_inner", None),
+    "outer-es-appendix": ("ccdp_es_outer", bounds.APPENDIX_FORM),
+    "outer-2-raw": ("ccdp2_outer", bounds.RAW),
+    "outer-2-theorem": ("ccdp2_outer", bounds.THEOREM),
+    "outer-m-theorem": ("ccdp_m_outer", bounds.THEOREM),
+    "outer-es-theorem": ("ccdp_es_outer", bounds.THEOREM),
+    "baseline-outer-2": ("baseline_outer_2", None),
 }
 OPTIMIZED_FAMILIES = ("inner-2", "outer-2-appendix", "inner-m",
                       "outer-m-appendix", "inner-es", "outer-es-appendix")
@@ -317,28 +350,27 @@ class MonotonicityViolation:
 def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
     """Scan each family for value increases along the c axis.
 
-    Slices where a family does not apply (WrongModel: wrong M or rho) are
-    skipped; any adjacent-pair increase beyond MONOTONE_TOL is returned as a
-    violation record, never raised.
+    Each (M, rho) slice is one P x c2 plane in grid P order; slices where a
+    family does not apply (WrongModel: wrong M or rho) are skipped.  Any
+    adjacent-pair increase beyond MONOTONE_TOL is returned as a violation
+    record, never raised, in (family, M, rho, P, c) order.
     """
     violations = []
-    c2_sorted = sorted(grid.c2_values)
+    P = np.array(grid.p_values)[:, None]
+    c = np.sqrt(sorted(grid.c2_values))
     for name in families:
-        fn = AUDIT_FAMILIES[name]
+        bound, variant = AUDIT_FAMILIES[name]
         for M in grid.m_values:
             for rho in grid.rho_axis(M):
-                for P in grid.p_values:
-                    try:
-                        values = [fn(ChannelParams(M, P, sqrt(c2), rho)).value
-                                  for c2 in c2_sorted]
-                    except WrongModel:
-                        continue
-                    for i in range(len(values) - 1):
-                        inc = values[i + 1] - values[i]
-                        if inc > MONOTONE_TOL:
-                            violations.append(MonotonicityViolation(
-                                name, M, P, rho,
-                                sqrt(c2_sorted[i]), sqrt(c2_sorted[i + 1]), inc))
+                try:
+                    values, _ = bounds._plane(bound, M, P, c, rho, variant)
+                except WrongModel:
+                    continue
+                increase = np.diff(values, axis=1)
+                for i, k in zip(*np.nonzero(increase > MONOTONE_TOL)):
+                    violations.append(MonotonicityViolation(
+                        name, M, P.item(i), rho, c.item(k), c.item(k + 1),
+                        increase.item(i, k)))
     return violations
 
 
@@ -346,30 +378,32 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
 # Serialization (fixed schemas; floats use shortest round-trip formatting).
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    return repr(float(x))
+def _strings(column, fmt):
+    """fmt of every entry, computed once per distinct value."""
+    values, index = np.unique(column, return_inverse=True)
+    return np.array([fmt(v) for v in values.tolist()], object)[index].tolist()
 
 
-def rows_to_csv(rows, meta=None):
-    """Render gap rows as CSV text: optional '# key: value' metadata lines,
-    one header row, then one line per row in sweep order."""
+def rows_to_csv(report, meta=None):
+    """Render a report's rows as CSV text: optional '# key: value' metadata
+    lines, one header row, then one line per row in sweep order.  Rows are
+    rendered CSV_CHUNK at a time, which bounds the memory of their fields."""
     lines = [f"# {k}: {v}" for k, v in (meta or {}).items()]
     lines.append(",".join(CSV_COLUMNS))
-    for r in rows:
-        lines.append(",".join((
-            str(r.M), _fmt(r.P), _fmt(r.c), _fmt(r.rho), r.variant,
-            _fmt(r.inner), _fmt(r.outer), _fmt(r.gap),
-            r.inner_branch, r.outer_branch,
-        )))
-    return "\n".join(lines) + "\n"
-
-
-def _row_dict(r):
-    return {
-        "M": r.M, "P": r.P, "c": r.c, "rho": r.rho, "variant": r.variant,
-        "inner_bpcu": r.inner, "outer_bpcu": r.outer, "gap_bpcu": r.gap,
-        "inner_branch": r.inner_branch, "outer_branch": r.outer_branch,
-    }
+    labels = np.array(bounds.BRANCHES, object)
+    for start in range(0, len(report), CSV_CHUNK):
+        chunk = {name: col[start:start + CSV_CHUNK]
+                 for name, col in report.columns.items()}
+        fields = [_strings(chunk["M"], str),
+                  *(_strings(chunk[name], repr) for name in ("P", "c", "rho")),
+                  chunk["variant"].tolist(),
+                  *(list(map(repr, chunk[name].tolist()))
+                    for name in ("inner", "outer", "gap")),
+                  *(labels[chunk[name]].tolist()
+                    for name in ("inner_branch", "outer_branch"))]
+        lines.append("\n".join(map(",".join, zip(*fields))))
+    lines.append("")  # the closing newline
+    return "\n".join(lines)
 
 
 def grid_description(grid):
@@ -393,9 +427,10 @@ def report_summary(report):
         "claimedGap": report.claimed_gap,
         "maxGap": None if report.max_gap == -inf else report.max_gap,
         "minGap": None if report.min_gap == inf else report.min_gap,
-        "argmax": None if report.argmax is None else _row_dict(report.argmax),
+        "argmax": (None if report.argmax is None
+                   else dict(zip(CSV_COLUMNS, astuple(report.argmax)))),
         "certified": report.certified,
-        "rows": len(report.rows),
+        "rows": len(report),
         "smallRegimeRows": report.small_regime_rows,
         "grid": grid_description(report.grid),
     }

@@ -19,7 +19,7 @@ from math import log, log2, sqrt
 
 import numpy as np
 
-from .errors import DegenerateCovariance, DomainError, InvalidSplit
+from .errors import CcdpError, DegenerateCovariance, DomainError, InvalidSplit
 from .model import (
     NEGATIVE_PAIRWISE,
     SAMPLE_BLOCK,
@@ -47,11 +47,11 @@ class SimulationConfig:
 
     def __post_init__(self):
         if self.samples < 1000:
-            raise ValueError(f"samples must be >= 1000, got {self.samples}")
+            raise CcdpError(f"samples must be >= 1000, got {self.samples}")
         if not 0.0 <= self.alpha_bar <= 1.0:
             raise InvalidSplit(f"alpha_bar must be in [0, 1], got {self.alpha_bar!r}")
         if self.target not in TARGETS:
-            raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
+            raise CcdpError(f"target must be one of {TARGETS}, got {self.target!r}")
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ def test_bounds_csv_row_equals_sweep_row(capsys, c2):
     assert code == 0
     row = [l for l in out.splitlines() if not l.startswith("#")][1]
     sweep = run_sweep(SweepGrid((2,), (10.0,), (float(c2),), (0.0,)))
-    assert row == rows_to_csv(sweep.rows).splitlines()[1]
+    assert row == rows_to_csv(sweep).splitlines()[1]
     # the theorem-statement outer is the one the sweep reports for that variant
     code, out, _ = run(capsys, "bounds", "--M", "2", "--P", "10", "--c2", c2,
                        "--rho", "0", "--format", "json")
@@ -89,7 +89,7 @@ def test_bounds_csv_row_equals_sweep_row(capsys, c2):
     sweep = run_sweep(SweepGrid((2,), (10.0,), (float(c2),), (0.0,),
                                 outer_variant="theorem-statement"))
     assert (stated["value"], stated["branch"], stated["variant"]) == (
-        sweep.rows[0].outer, sweep.rows[0].outer_branch, sweep.rows[0].variant)
+        sweep.row(0).outer, sweep.row(0).outer_branch, sweep.row(0).variant)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +176,60 @@ GRID = ("--P-points", "2", "--c2-points", "2")
     (("sweep", "--c2-min", "-1"), "InvalidGain"),
     (("sweep", "--c2-min", "0"), "CcdpError"),
     (("fig3", "--P", "inf"), "InvalidPower"),
+    (("sweep", "--P-points", "-1"), "CcdpError"),
+    (("sweep", "--c2-points", "0"), "CcdpError"),
+    (("audit", "--P-points", "0"), "CcdpError"),
+    (("fig3", "--points", "0"), "CcdpError"),
+    (("fig3", "--points", "-3"), "CcdpError"),
+    (("fig3", "--c-min", "-1", "--points", "3"), "InvalidGain"),
+    (("fig3", "--c-min", "nan", "--points", "3"), "InvalidGain"),
+    (("simulate", "--M", "2", "--c2", "4", "--samples", "0"), "CcdpError"),
+    (("simulate", "--M", "2", "--c2", "4", "--target", "nope"), "CcdpError"),
 ])
 def test_invalid_grid_input_exits_2(capsys, tmp_path, argv, error):
     out = tmp_path / "out"
     code, _, err = run(capsys, *argv, "--out", str(out))
     assert code == 2 and err.startswith(f"{error}: ")
     assert not out.exists()
+
+
+POINT = ("--M", "2", "--P", "10", "--c2", "4")
+
+
+@pytest.mark.parametrize("command, args", [
+    ("bounds", POINT), ("sweep", GRID), ("certify", ("--theorem", "Th3", *GRID)),
+    ("fig3", ()), ("simulate", POINT + ("--samples", "1000")), ("audit", GRID),
+])
+def test_unknown_format_exits_2_from_flag_and_config(capsys, tmp_path, command, args):
+    out = tmp_path / "out"
+    code, _, flag_err = run(capsys, command, *args, "--format", "xml",
+                            "--out", str(out))
+    assert code == 2 and flag_err.startswith("CcdpError: format: must be one of")
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"command = {command}\nformat = xml\n")
+    code, _, file_err = run(capsys, "--config", str(cfg), *args, "--out", str(out))
+    assert code == 2 and file_err == flag_err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("bounds", "--M", "2", "--c2", "4", "--P", "ten"),
+                                  ("sweep", "--M-values", "2,x"),
+                                  ("simulate", "--c2", "4", "--samples", "1e6")])
+def test_malformed_option_text_names_the_option(capsys, tmp_path, argv):
+    code, _, flag_err = run(capsys, *argv)
+    name, text = argv[-2].lstrip("-"), argv[-1]
+    assert code == 2 and flag_err.startswith(f"CcdpError: {name}: ")
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"command = {argv[0]}\n{name} = {text}\n")
+    code, _, file_err = run(capsys, "--config", str(cfg), *argv[1:-2])
+    assert code == 2 and file_err == flag_err
+
+
+def test_sweep_summary_prints_plain_floats(capsys, tmp_path):
+    code, _, err = run(capsys, "sweep", "--M-values", "2,3", *GRID,
+                       "--out", str(tmp_path / "s.csv"))
+    assert code == 0 and "'rho': " in err
+    assert "np.float64" not in err
 
 
 def test_fig3_csv(capsys, tmp_path):

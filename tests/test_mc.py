@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ccdp import (
+    CcdpError,
     ChannelParams,
     DegenerateCovariance,
     InvalidSplit,
@@ -244,6 +245,13 @@ def test_simulation_config_validation():
         SimulationConfig(params=ChannelParams(2, 1.0, 1.0, 0.0), alpha_bar=1.2)
     with pytest.raises(ValueError):
         SimulationConfig(params=ChannelParams(2, 1.0, 1.0, 0.0), target="bogus")
+
+
+@pytest.mark.parametrize("over", [dict(samples=0), dict(samples=-5),
+                                  dict(target="bogus")])
+def test_simulation_config_errors_are_ccdp_errors(over):
+    with pytest.raises(CcdpError):
+        SimulationConfig(params=ChannelParams(2, 1.0, 1.0, 0.0), **over)
 
 
 def test_delta_stderr_positive_and_scales():
