@@ -83,17 +83,110 @@ def _require_model(M, rho, model_M=None, model_rho=None):
         raise WrongModel(f"bound requires rho={model_rho}, got rho={rho}")
 
 
-def _log2_pos(x):
-    if x <= 0.0:
-        raise DomainError(f"log2 of non-positive value {x!r}")
-    return log2(x)
+# ---------------------------------------------------------------------------
+# Pieces: fn(M, P, c2, lg) is one branch's expression.  A public bound picks
+# the piece of its point with a plain-Python rule and calls it with
+# lg = math.log2; a plane calls it with lg = _log2_plane on the elements of its
+# branch (``_pieces``).  Both run the same operations, so give the same bits.
+# ---------------------------------------------------------------------------
+
+def _awgn(M, P, c2, lg):
+    # The state-free rate 1/2*log2(1+P); also the trivial outer bound.
+    return 0.5 * lg(1.0 + P)
+
+
+def _time_sharing(M, P, c2, lg):
+    # Full power pre-coded for one receiver at a time: 1/(2M)*log2(1+P).
+    return 1.0 / (2.0 * M) * lg(1.0 + P)
+
+
+def _small_gain(M, P, c2, lg):
+    # States treated as noise: 1/2*log2(1+P/(1+c2)).
+    return 0.5 * lg(1.0 + P / (1.0 + c2))
+
+
+def _inner_middle(M, P, c2, lg):
+    return 0.5 * lg(P + c2 + 1.0) - (M - 1) / (2.0 * M) * lg(c2) - 0.5
+
+
+def _outer_small_gain(M, P, c2, lg):
+    return _small_gain(M, P, c2, lg) + 2.25
+
+
+def _outer_theorem_middle(M, P, c2, lg):
+    return _time_sharing(M, P, c2, lg) + (M - 1) / (2.0 * M) * lg(c2) + 1.5
+
+
+def _outer_theorem_high(M, P, c2, lg):
+    return _time_sharing(M, P, c2, lg) + 2.0
+
+
+def _outer_appendix_middle(M, P, c2, lg):
+    return 0.5 * lg(1.0 + P + c2) - (M - 1) / (2.0 * M) * lg(c2) + 1.5
+
+
+def _outer_appendix_high(M, P, c2, lg):
+    # The middle piece with the gain clamped at its minimizer sqrt((M-1)(P+1)).
+    return _outer_appendix_middle(M, P, (M - 1.0) * (P + 1.0), lg)
+
+
+def _outer2_raw(M, P, c2, lg):
+    # Pre-optimization outer expression: minimal at c2 = P+1.  Needs c2 > 0.
+    return 0.5 * lg(P + c2 + 1.0) - 0.25 * lg(c2) + 0.5
+
+
+def _outer2_stated_middle(M, P, c2, lg):
+    # The Th3 statement keeps -1/4*log2(c2+1) where the raw form has log2(c2).
+    return 0.5 * lg(P + c2 + 1.0) - 0.25 * lg(c2 + 1.0) + 0.5
+
+
+def _outer2_high(M, P, c2, lg):
+    return _time_sharing(2, P, c2, lg) + 1.0
+
+
+def _es_outer2_high(M, P, c2, lg):
+    return _time_sharing(2, P, c2, lg) + 0.5
+
+
+def _baseline_outer2_low(M, P, c2, lg, s):
+    return 0.25 * lg((1.0 + P) / (c2 / 4.0 + 1.0)) + 0.25 * lg(s / (c2 / 4.0 + 1.0))
+
+
+def _baseline_outer2_high(M, P, c2, lg, s):
+    return 0.25 * lg(1.0 + P) - 0.25 * lg(c2) + 0.25 * lg(s)
+
+
+# A bound's (label, piece) on c2 <= t1, t1 < c2 < t2 and c2 >= t2.  Inner
+# bounds switch at t1 = M-1 and t2 = P+1, outer bounds at t1 = M-1 and
+# t2 = (M-1)(P+1); both are 1 and P+1 at M = 2.  The inner middle piece meets
+# the time-sharing rate at c2 = P+1 and falls below it beyond, so time sharing
+# takes over there: the rate stays achievable, monotone in c, and exactly 2
+# bpcu under the appendix-form outer bound on the middle branch.
+_INNER_2 = ((BR_LOW_2, _small_gain), (BR_MIDDLE, _inner_middle),
+            (BR_HIGH_2, _time_sharing))
+_INNER_M = ((BR_LOW_M, _small_gain), (BR_MIDDLE, _inner_middle),
+            (BR_TIME_SHARING, _time_sharing))
+_OUTER_2_STATED = ((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_stated_middle),
+                   (BR_HIGH_2, _outer2_high))
+_OUTER_2_LOOSENED = ((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_raw),
+                     (BR_HIGH_2, _outer2_high))
+_ES_OUTER_2 = ((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_raw),
+               (BR_HIGH_2, _es_outer2_high))
+_OUTER_M_THEOREM = ((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_theorem_middle),
+                    (BR_HIGH_M, _outer_theorem_high))
+_OUTER_M_APPENDIX = ((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_appendix_middle),
+                     (BR_HIGH_M, _outer_appendix_high))
+# One or two pieces, on c2 < t2 and c2 >= t2 with t1 = -inf.
+_RAW_2 = (None, ("raw", _outer2_raw), None)
+_BASELINE_OUTER_2 = (None, ("c2<4", _baseline_outer2_low),
+                     ("c2>=4", _baseline_outer2_high))
 
 
 def awgn_capacity(P):
     """State-free benchmark 1/2*log2(1+P): what full pre-cancellation attains."""
     if not P > 0:
         raise InvalidPower(f"P must be > 0, got {P!r}")
-    return BoundResult(0.5 * log2(1.0 + P), BR_NA, BR_NA)
+    return BoundResult(_awgn(None, P, None, log2), BR_NA, BR_NA)
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +202,8 @@ def baseline_outer_2(params):
     _require_model(params.M, params.rho, 2, 0.0)
     P, c, c2 = params.P, params.c, params.c2
     s = 1.0 + P + c2 + 2.0 * c * sqrt(P)
-    if c2 < 4.0:
-        value = 0.25 * log2((1.0 + P) / (c2 / 4.0 + 1.0)) \
-            + 0.25 * log2(s / (c2 / 4.0 + 1.0))
-        return BoundResult(value, "c2<4", THEOREM, params)
-    value = 0.25 * log2(1.0 + P) - 0.25 * _log2_pos(c2) + 0.25 * log2(s)
-    return BoundResult(value, "c2>=4", THEOREM, params)
+    label, fn = _BASELINE_OUTER_2[1 if c2 < 4.0 else 2]
+    return BoundResult(fn(2, P, c2, log2, s), label, THEOREM, params)
 
 
 def baseline_inner_2(params):
@@ -152,26 +241,6 @@ def baseline_outer_m(params):
 # Two receivers, independent states.
 # ---------------------------------------------------------------------------
 
-def _outer2_raw(P, c2):
-    # Pre-optimization outer expression; decreasing up to c2 = P+1, then
-    # increasing like 1/4*log2(c2).
-    if c2 <= 0.0:
-        raise DomainError("raw outer bound needs c > 0")
-    return 0.5 * log2(P + c2 + 1.0) - 0.25 * log2(c2) + 0.5
-
-
-def _outer2_value(P, c2, stated_middle, high):
-    # stated_middle keeps -1/4*log2(c2+1) (the Th3 statement) instead of the
-    # loosened -1/4*log2(c2); high is the constant of the c2 >= P+1 branch.
-    if c2 <= 1.0:
-        return 0.5 * log2(P + 1.0), BR_LOW_2
-    if c2 < P + 1.0:
-        if stated_middle:
-            return 0.5 * log2(P + c2 + 1.0) - 0.25 * log2(c2 + 1.0) + 0.5, BR_MIDDLE
-        return _outer2_raw(P, c2), BR_MIDDLE
-    return 0.25 * log2(P + 1.0) + high, BR_HIGH_2
-
-
 def ccdp2_outer(params, variant=THEOREM):
     """Two-receiver outer bound; branch points c2 = 1 and c2 = P+1.
 
@@ -180,12 +249,16 @@ def ccdp2_outer(params, variant=THEOREM):
     middle expression alone, without clamping to the trivial/high branches.
     """
     _require_model(params.M, params.rho, 2, 0.0)
+    P, c2 = params.P, params.c2
     if variant == RAW:
-        return BoundResult(_outer2_raw(params.P, params.c2), "raw", RAW, params)
+        if c2 <= 0.0:
+            raise DomainError("raw outer bound needs c > 0")
+        return BoundResult(_outer2_raw(2, P, c2, log2), "raw", RAW, params)
     if variant not in (THEOREM, APPENDIX_LOOSENED):
         raise ValueError(f"unknown variant {variant!r}")
-    value, branch = _outer2_value(params.P, params.c2, variant == THEOREM, 1.0)
-    return BoundResult(value, branch, variant, params)
+    pieces = _OUTER_2_STATED if variant == THEOREM else _OUTER_2_LOOSENED
+    label, fn = pieces[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
+    return BoundResult(fn(2, P, c2, log2), label, variant, params)
 
 
 def ccdp2_inner(params):
@@ -194,9 +267,9 @@ def ccdp2_inner(params):
     Equals the maximum over the power split of ``ccdp_m_inner_raw`` at M=2.
     """
     _require_model(params.M, params.rho, 2, 0.0)
-    value, branch = _inner_m_value(2, params.P, params.c2)
-    branch = {BR_LOW_M: BR_LOW_2, BR_TIME_SHARING: BR_HIGH_2}.get(branch, branch)
-    return BoundResult(value, branch, THEOREM, params)
+    P, c2 = params.P, params.c2
+    label, fn = _INNER_2[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
+    return BoundResult(fn(2, P, c2, log2), label, THEOREM, params)
 
 
 # ---------------------------------------------------------------------------
@@ -228,49 +301,22 @@ def ccdp_m_inner_raw(params, alpha_bar):
     return BoundResult(value, BR_NA, RAW, params)
 
 
+def _san_rate(P, c2, alpha_bar):
+    # The common layer's rate with the states as noise: 1/2*log2(1+aP/(c2+abP+1)).
+    return 0.5 * log2(1.0 + (1.0 - alpha_bar) * P / (c2 + alpha_bar * P + 1.0))
+
+
 def _inner_raw_value(M, P, c2, alpha_bar):
-    ab_p = alpha_bar * P
-    return 0.5 * log2(1.0 + (1.0 - alpha_bar) * P / (c2 + ab_p + 1.0)) \
-        + 1.0 / (2.0 * M) * log2(1.0 + ab_p)
-
-
-def _inner_m_value(M, P, c2):
-    # The middle expression meets the always-available time-sharing rate
-    # 1/(2M)*log2(1+P) exactly at c2 = P+1 and falls below it beyond, so the
-    # time-sharing branch takes over there (not at (M-1)(P+1)).  This keeps
-    # the reported rate achievable, monotone in c, and exactly 2 bpcu under
-    # the appendix-form outer bound while the middle branch is active.
-    if c2 <= M - 1.0:
-        return 0.5 * log2(1.0 + P / (1.0 + c2)), BR_LOW_M
-    if c2 < P + 1.0:
-        value = 0.5 * log2(P + c2 + 1.0) - (M - 1) / (2.0 * M) * log2(c2) - 0.5
-        return value, BR_MIDDLE
-    return 1.0 / (2.0 * M) * log2(1.0 + P), BR_TIME_SHARING
+    # The common layer plus the pre-coded layer, live 1/M of the time.
+    return _san_rate(P, c2, alpha_bar) + _time_sharing(M, alpha_bar * P, c2, log2)
 
 
 def ccdp_m_inner(params):
-    """Optimized M-receiver inner bound; see ``_inner_m_value`` for branches."""
+    """Optimized M-receiver inner bound; see ``_INNER_M`` for its branches."""
     _require_model(params.M, params.rho, model_rho=0.0)
-    value, branch = _inner_m_value(params.M, params.P, params.c2)
-    return BoundResult(value, branch, THEOREM, params)
-
-
-def _outer_m_value(M, P, c2, variant):
-    t1 = M - 1.0
-    t2 = (M - 1.0) * (P + 1.0)
-    if c2 <= t1:
-        # Shared small-gain branch: 1/2*log2(1+P/(1+c2)) + 9/4.
-        return 0.5 * log2(1.0 + P / (1.0 + c2)) + 2.25, BR_LOW_M
-    if variant == THEOREM:
-        if c2 < t2:
-            value = 1.0 / (2.0 * M) * log2(1.0 + P) \
-                + (M - 1) / (2.0 * M) * log2(c2) + 1.5
-            return value, BR_MIDDLE
-        return 1.0 / (2.0 * M) * log2(1.0 + P) + 2.0, BR_HIGH_M
-    # appendix form: gain clamped at its minimizer sqrt((M-1)(P+1)).
-    ceff2 = min(c2, t2)
-    value = 0.5 * log2(1.0 + P + ceff2) - (M - 1) / (2.0 * M) * log2(ceff2) + 1.5
-    return value, (BR_MIDDLE if c2 < t2 else BR_HIGH_M)
+    M, P, c2 = params.M, params.P, params.c2
+    label, fn = _INNER_M[0 if c2 <= M - 1.0 else 1 if c2 < P + 1.0 else 2]
+    return BoundResult(fn(M, P, c2, log2), label, THEOREM, params)
 
 
 def ccdp_m_outer(params, variant=THEOREM):
@@ -278,13 +324,17 @@ def ccdp_m_outer(params, variant=THEOREM):
 
     The ``theorem-statement`` middle branch grows with c2 (it is reported but
     not certified against); ``appendix-form`` is non-increasing in the gain
-    and is the variant the gap certificates use.
+    and is the variant the gap certificates use.  Both share the small-gain
+    branch 1/2*log2(1+P/(1+c2)) + 9/4.
     """
     _require_model(params.M, params.rho, model_rho=0.0)
     if variant not in (THEOREM, APPENDIX_FORM):
         raise ValueError(f"unknown variant {variant!r}")
-    value, branch = _outer_m_value(params.M, params.P, params.c2, variant)
-    return BoundResult(value, branch, variant, params)
+    pieces = _OUTER_M_THEOREM if variant == THEOREM else _OUTER_M_APPENDIX
+    M, P, c2 = params.M, params.P, params.c2
+    t1 = M - 1.0
+    label, fn = pieces[0 if c2 <= t1 else 1 if c2 < t1 * (P + 1.0) else 2]
+    return BoundResult(fn(M, P, c2, log2), label, variant, params)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +354,10 @@ def ccdp_es_inner(params):
     """Inner bound with correlated states: the independent-state scheme at the
     effective gain (the common layer pre-codes the shared state component).
     """
+    M, P = params.M, params.P
     ceff2 = params.c2 * params.rho_bar_plus
-    value, branch = _inner_m_value(params.M, params.P, ceff2)
-    return BoundResult(value, branch, THEOREM, params)
+    label, fn = _INNER_M[0 if ceff2 <= M - 1.0 else 1 if ceff2 < P + 1.0 else 2]
+    return BoundResult(fn(M, P, ceff2, log2), label, THEOREM, params)
 
 
 def ccdp_es_outer(params, variant=THEOREM):
@@ -317,26 +368,22 @@ def ccdp_es_outer(params, variant=THEOREM):
     general-M form otherwise).  ``appendix-form`` is the independent-state
     appendix outer at the effective gain, used for certification.
     """
-    M, P = params.M, params.P
-    ceff2 = params.c2 * params.rho_bar_plus
-    if variant == APPENDIX_FORM:
-        value, branch = _outer_m_value(M, P, ceff2, APPENDIX_FORM)
-    elif variant != THEOREM:
+    if variant not in (THEOREM, APPENDIX_FORM):
         raise ValueError(f"unknown variant {variant!r}")
-    elif M == 2:
-        value, branch = _outer2_value(P, ceff2, False, 0.5)
-    else:
-        value, branch = _outer_m_value(M, P, ceff2, THEOREM)
-    return BoundResult(value, branch, variant, params)
+    M, P = params.M, params.P
+    pieces = (_OUTER_M_APPENDIX if variant == APPENDIX_FORM
+              else _ES_OUTER_2 if M == 2 else _OUTER_M_THEOREM)
+    ceff2 = params.c2 * params.rho_bar_plus
+    t1 = M - 1.0
+    label, fn = pieces[0 if ceff2 <= t1 else 1 if ceff2 < t1 * (P + 1.0) else 2]
+    return BoundResult(fn(M, P, ceff2, log2), label, variant, params)
 
 
 # ---------------------------------------------------------------------------
-# Plane twins: the kernels above over a column of powers and a row of gains.
-# They repeat the scalar expressions operation for operation, so each entry
-# equals the scalar value exactly; the scalar functions are their reference.
+# Planes: the pieces above over a column of powers and a row of gains.
 # ---------------------------------------------------------------------------
 
-# Branch labels by code; the twins return codes into this tuple.
+# Branch labels by code; planes return codes into this tuple.
 BRANCHES = (BR_LOW_2, BR_MIDDLE, BR_HIGH_2, BR_LOW_M, BR_HIGH_M,
             BR_TIME_SHARING, "raw", "c2<4", "c2>=4")
 
@@ -352,97 +399,47 @@ def _log2_plane(x):
     return np.fromiter(map(log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _pieces(t1, t2, pieces, c2, P, *more):
+def _pieces(pieces, t1, t2, M, P, c2, *more):
     """Values and branch codes of three (label, fn) pieces on c2 <= t1,
-    t1 < c2 < t2 and c2 >= t2.  fn(c2, P, *more) sees only the elements of
-    its own piece, so no expression is evaluated off its branch."""
-    t1, t2, c2, P, *more = np.broadcast_arrays(t1, t2, c2, P, *more)
+    t1 < c2 < t2 and c2 >= t2, over broadcast arrays.  Each fn sees only the
+    elements of its own piece, so no expression is evaluated off its branch."""
+    t1, t2, P, c2, *more = np.broadcast_arrays(t1, t2, P, c2, *more)
     low = c2 <= t1
     high = ~low & (c2 >= t2)
     values, codes = np.empty(c2.shape), np.empty(c2.shape, np.int8)
-    for mask, (label, fn) in zip((low, ~(low | high), high), pieces):
+    for mask, piece in zip((low, ~(low | high), high), pieces):
         if mask.any():
-            values[mask] = fn(c2[mask], P[mask], *(a[mask] for a in more))
+            label, fn = piece
+            values[mask] = fn(M, P[mask], c2[mask], _log2_plane,
+                              *(a[mask] for a in more))
             codes[mask] = BRANCHES.index(label)
     return values, codes
 
 
-def _outer2_raw_plane(c2, P):
-    return 0.5 * _log2_plane(P + c2 + 1.0) - 0.25 * _log2_plane(c2) + 0.5
-
-
-def _outer2_plane(P, c2, stated_middle, high):
-    def stated(c2, P):
-        return 0.5 * _log2_plane(P + c2 + 1.0) - 0.25 * _log2_plane(c2 + 1.0) + 0.5
-    return _pieces(1.0, P + 1.0, (
-        (BR_LOW_2, lambda c2, P: 0.5 * _log2_plane(P + 1.0)),
-        (BR_MIDDLE, stated if stated_middle else _outer2_raw_plane),
-        (BR_HIGH_2, lambda c2, P: 0.25 * _log2_plane(P + 1.0) + high)), c2, P)
-
-
-def _inner_m_plane(M, P, c2, labels):
-    k = (M - 1) / (2.0 * M)
-    return _pieces(M - 1.0, P + 1.0, zip(labels, (
-        lambda c2, P: 0.5 * _log2_plane(1.0 + P / (1.0 + c2)),
-        lambda c2, P: 0.5 * _log2_plane(P + c2 + 1.0) - k * _log2_plane(c2) - 0.5,
-        lambda c2, P: 1.0 / (2.0 * M) * _log2_plane(1.0 + P))), c2, P)
-
-
-def _outer_m_plane(M, P, c2, variant):
-    k = (M - 1) / (2.0 * M)
-    if variant == THEOREM:
-        def middle(c2, P):
-            return 1.0 / (2.0 * M) * _log2_plane(1.0 + P) + k * _log2_plane(c2) + 1.5
-
-        def high(c2, P):
-            return 1.0 / (2.0 * M) * _log2_plane(1.0 + P) + 2.0
-    else:
-        def middle(c2, P):  # appendix form: the gain clamped at its minimizer
-            c2 = np.minimum(c2, (M - 1.0) * (P + 1.0))
-            return 0.5 * _log2_plane(1.0 + P + c2) - k * _log2_plane(c2) + 1.5
-        high = middle
-    return _pieces(M - 1.0, (M - 1.0) * (P + 1.0), (
-        (BR_LOW_M, lambda c2, P: 0.5 * _log2_plane(1.0 + P / (1.0 + c2)) + 2.25),
-        (BR_MIDDLE, middle), (BR_HIGH_M, high)), c2, P)
-
-
-def _baseline_outer_2_plane(P, c):
-    c2 = c * c
-    s = 1.0 + P + c2 + 2.0 * c * np.sqrt(P)
-
-    def low(c2, P, s):
-        return 0.25 * _log2_plane((1.0 + P) / (c2 / 4.0 + 1.0)) \
-            + 0.25 * _log2_plane(s / (c2 / 4.0 + 1.0))
-
-    def high(c2, P, s):
-        return 0.25 * _log2_plane(1.0 + P) - 0.25 * _log2_plane(c2) \
-            + 0.25 * _log2_plane(s)
-    # c2 < 4 is c2 <= the float below 4, so the middle piece is empty.
-    return _pieces(np.nextafter(4.0, 0.0), 4.0,
-                   (("c2<4", low), (None, None), ("c2>=4", high)), c2, P, s)
-
-
 def _plane(bound, M, P, c, rho, variant=None):
-    """Twin of the public bound named ``bound`` at one (M, rho): (values,
-    branch codes) over a column of powers P times a row of gains c, under
-    the same WrongModel rule and the same effective gain (c*c)(1-max(rho, 0))."""
+    """The public bound named ``bound`` at one (M, rho): (values, branch
+    codes) over a column of powers P times a row of gains c, under the same
+    WrongModel rule and the same effective gain (c*c)(1-max(rho, 0))."""
     _require_model(M, rho, *_MODELS.get(bound, ()))
     c2 = (c * c) * (1.0 - max(rho, 0.0))
     if bound == "baseline_outer_2":
-        return _baseline_outer_2_plane(P, c)
-    if bound == "ccdp2_inner":
-        return _inner_m_plane(2, P, c2, (BR_LOW_2, BR_MIDDLE, BR_HIGH_2))
+        s = 1.0 + P + c2 + 2.0 * c * np.sqrt(P)
+        return _pieces(_BASELINE_OUTER_2, -inf, 4.0, 2, P, c2, s)
     if bound.endswith("_inner"):
-        return _inner_m_plane(M, P, c2, (BR_LOW_M, BR_MIDDLE, BR_TIME_SHARING))
+        pieces = _INNER_2 if bound == "ccdp2_inner" else _INNER_M
+        return _pieces(pieces, M - 1.0, P + 1.0, M, P, c2)
     if variant == RAW:
         if np.any(c2 <= 0.0):
             raise DomainError("raw outer bound needs c > 0")
-        return _pieces(-inf, inf, [("raw", _outer2_raw_plane)] * 3, c2, P)
+        return _pieces(_RAW_2, -inf, inf, 2, P, c2)
     if bound == "ccdp2_outer":
-        return _outer2_plane(P, c2, variant == THEOREM, 1.0)
-    if bound == "ccdp_es_outer" and variant == THEOREM and M == 2:
-        return _outer2_plane(P, c2, False, 0.5)
-    return _outer_m_plane(M, P, c2, variant)
+        pieces = _OUTER_2_STATED if variant == THEOREM else _OUTER_2_LOOSENED
+    elif variant == APPENDIX_FORM:
+        pieces = _OUTER_M_APPENDIX
+    else:  # the theorem statement; the ES outer has its own M = 2 form
+        es2 = bound == "ccdp_es_outer" and M == 2
+        pieces = _ES_OUTER_2 if es2 else _OUTER_M_THEOREM
+    return _pieces(pieces, M - 1.0, (M - 1.0) * (P + 1.0), M, P, c2)
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,11 @@ def _write(text, out):
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
+        # 1 MiB at a time: a 30 MB sweep CSV is never encoded as one more
+        # full-size copy, which fragments the C heap of a long-running caller.
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for start in range(0, len(text), 1 << 20):
+                fh.write(text[start:start + (1 << 20)])
 
 
 def _meta(command, resolved, with_seed=False):
@@ -270,13 +273,13 @@ def _estimate_dict(est):
 
 def cmd_bounds(resolved):
     params, c2 = _params_from(resolved)
-    inner_fn, outer_fn, variant, *_ = gaps.bound_pair(params.M, params.rho,
-                                                      bounds.APPENDIX_FORM)
-    _, theorem_fn, theorem_variant, *_ = gaps.bound_pair(params.M, params.rho,
-                                                         bounds.THEOREM)
-    inner = inner_fn(params)
-    appendix = outer_fn(params, variant)
-    theorem = theorem_fn(params, theorem_variant)
+    inner, outer, variant = gaps.bound_pair(params.M, params.rho,
+                                            bounds.APPENDIX_FORM)
+    _, theorem_outer, theorem_variant = gaps.bound_pair(params.M, params.rho,
+                                                        bounds.THEOREM)
+    inner = getattr(bounds, inner)(params)
+    appendix = getattr(bounds, outer)(params, variant)
+    theorem = getattr(bounds, theorem_outer)(params, theorem_variant)
     gap = appendix.value - inner.value
 
     if resolved["format"] == "json":
@@ -326,7 +329,12 @@ def cmd_certify(resolved):
     if theorem is None:
         raise CcdpError("--theorem is required (one of Th3, Th4, Th5, Th6)")
     variant = resolved["variant"]
-    grid = gaps.theorem_grid(theorem, _grid_from(resolved))
+    # An axis set away from its default is certified as given, so one
+    # outside the theorem's model is a WrongModel, not silently replaced.
+    keep = [axis for name, axis in (("M-values", "m_values"),
+                                    ("rho-values", "rho_values"))
+            if resolved[name] != _GRID_OPTS[name].default]
+    grid = gaps.theorem_grid(theorem, _grid_from(resolved), keep)
     report = gaps.certify_theorem(theorem, grid, variant_kind=variant)
     if resolved["rows-out"]:
         _write(gaps.rows_to_csv(report, _meta("certify", resolved)),

@@ -13,7 +13,6 @@ runs over the same grid produce byte-identical CSV.
 
 import json
 from dataclasses import astuple, dataclass, field, replace
-from functools import partial
 from math import inf, isfinite, prod, sqrt
 
 import numpy as np
@@ -48,15 +47,15 @@ def normalize_variant(token):
 
 
 def bound_pair(M, rho, variant, theorem=None):
-    """(inner, outer, outer variant, inner plane, outer plane) for an (M, rho)
-    slice: two public bounds, named by model, and their plane twins.
+    """(inner name, outer name, outer variant) for an (M, rho) slice: the
+    names of two public bounds in ``bounds``, picked by model.
 
     ``variant`` is a normalized family.  theorem=None is the sweep rule: the
     dedicated two-receiver pair at M = 2 with independent states, the
     correlated-states pair everywhere else.  Th3 uses the two-receiver pair,
     Th4 the independent-state M-receiver pair, Th5/Th6 the correlated-states
-    pair.  The two-receiver appendix family is the loosened form.  A plane is
-    called as plane(M, P, c, rho, variant); see ``bounds._plane``.
+    pair.  The two-receiver appendix family is the loosened form.  A point
+    calls getattr(bounds, name); a plane calls bounds._plane(name, ...).
     """
     if theorem is None:
         theorem = "Th3" if M == 2 and rho == 0.0 else "Th6"
@@ -65,9 +64,7 @@ def bound_pair(M, rho, variant, theorem=None):
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
     if theorem == "Th3" and variant == bounds.APPENDIX_FORM:
         variant = bounds.APPENDIX_LOOSENED
-    inner, outer = f"{family[theorem]}_inner", f"{family[theorem]}_outer"
-    return (getattr(bounds, inner), getattr(bounds, outer), variant,
-            partial(bounds._plane, inner), partial(bounds._plane, outer))
+    return f"{family[theorem]}_inner", f"{family[theorem]}_outer", variant
 
 
 # Per-axis value checks: the ChannelParams check of the field fed (c2 as c).
@@ -198,7 +195,8 @@ class GapReport:
             self.argmax = self.row(i)
         if self.claimed_gap is not None:
             limit = self.claimed_gap + GAP_TOL
-            trivial = 0.5 * bounds._log2_plane(1.0 + self.columns["P"][small])
+            trivial = bounds._awgn(None, self.columns["P"][small], None,
+                                   bounds._log2_plane)
             covered = np.all((gap[small] <= limit) | (trivial <= limit))
             self.certified = bool(covered) and self.max_gap <= limit
         negatives = np.count_nonzero(gap < -GAP_TOL)
@@ -215,9 +213,9 @@ def _evaluate_columns(grid, theorem=None):
     """Columns of every feasible grid point, rows lexicographic in
     (M, P, c2, rho).
 
-    Each (M, rho) slice is one P x c2 plane, evaluated by the plane twins of
-    the pair ``bound_pair`` picks for it; the variant column records the
-    outer bound variant actually evaluated.
+    Each (M, rho) slice is one P x c2 plane of each bound of the pair
+    ``bound_pair`` picks for it; the variant column records the outer bound
+    variant actually evaluated.
     """
     P = np.array(sorted(grid.p_values))[:, None]
     c2 = np.array(sorted(grid.c2_values))
@@ -236,11 +234,11 @@ def _evaluate_columns(grid, theorem=None):
         block["rho"][...] = rhos
         block["small_regime"][...] = ((P <= SMALL_P) | (c2 <= SMALL_C2))[..., None]
         for k, rho in enumerate(rhos):
-            *_, variant, inner, outer = bound_pair(M, rho, grid.outer_variant, theorem)
+            inner, outer, variant = bound_pair(M, rho, grid.outer_variant, theorem)
             block["variant"][..., k] = variant
-            block["inner"][..., k], block["inner_branch"][..., k] = inner(M, P, c, rho)
-            block["outer"][..., k], block["outer_branch"][..., k] = \
-                outer(M, P, c, rho, variant)
+            for name, bound in (("inner", inner), ("outer", outer)):
+                block[name][..., k], block[f"{name}_branch"][..., k] = \
+                    bounds._plane(bound, M, P, c, rho, variant)
         np.subtract(block["outer"], block["inner"], out=block["gap"])
     return columns
 
@@ -254,18 +252,18 @@ def run_sweep(grid):
     return GapReport(grid, _evaluate_columns(grid)).finalize()
 
 
-def theorem_grid(theorem, grid=None):
-    """Restrict (or build) a standard grid matching the theorem's model."""
+_MODEL_AXES = {"Th3": {"m_values": (2,), "rho_values": (0.0,)},
+               "Th4": {"rho_values": (0.0,)}, "Th5": {"m_values": (2,)}, "Th6": {}}
+
+
+def theorem_grid(theorem, grid=None, keep=()):
+    """The grid (standard by default) with the axes the theorem's model fixes;
+    axes named in ``keep`` stay as given, for ``certify_theorem`` to check."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
     base = grid or standard_grid()
-    if theorem == "Th3":
-        return replace(base, m_values=(2,), rho_values=(0.0,))
-    if theorem == "Th4":
-        return replace(base, rho_values=(0.0,))
-    if theorem == "Th5":
-        return replace(base, m_values=(2,))
-    if theorem == "Th6":
-        return base
-    raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
+    axes = {k: v for k, v in _MODEL_AXES[theorem].items() if k not in keep}
+    return replace(base, **axes) if axes else base
 
 
 def certify_theorem(theorem, grid, variant_kind="appendix"):
@@ -280,10 +278,9 @@ def certify_theorem(theorem, grid, variant_kind="appendix"):
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
     if theorem in ("Th3", "Th5") and tuple(grid.m_values) != (2,):
         raise WrongModel(f"{theorem} applies to M=2 only, grid has {grid.m_values}")
-    if theorem in ("Th3", "Th4"):
-        for M in grid.m_values:
-            if any(r != 0.0 for r in grid.rho_axis(M)):
-                raise WrongModel(f"{theorem} applies to independent states (rho=0)")
+    if theorem in ("Th3", "Th4") and grid.rho_values != (0.0,):
+        raise WrongModel(f"{theorem} applies to independent states (rho=0), "
+                         f"grid has {grid.rho_values or 'the feasible rho axis'}")
 
     grid = replace(grid, outer_variant=normalize_variant(variant_kind))
     report = GapReport(grid, _evaluate_columns(grid, theorem),
@@ -305,18 +302,15 @@ def fig3_curve(P, c_values):
     curve is flat past sqrt(P+1), where the raw curve keeps increasing.
     """
     c_opt = sqrt(ChannelParams(2, P, 0.0).P + 1.0)  # InvalidPower for a bad P
-    rows = []
-    for c in c_values:
-        c = ChannelParams(2, P, float(c)).c  # InvalidGain for a bad gain
-        raw = bounds._outer2_raw(P, c * c)
-        clamped = min(c, c_opt)
-        optimized = bounds._outer2_raw(P, clamped * clamped)
-        rows.append((c, raw, optimized))
-    return rows
+    c = np.array([ChannelParams(2, P, float(v)).c for v in c_values])  # InvalidGain
+    raw, _ = bounds._plane("ccdp2_outer", 2, P, c, 0.0, bounds.RAW)
+    optimized, _ = bounds._plane("ccdp2_outer", 2, P, np.minimum(c, c_opt), 0.0,
+                                 bounds.RAW)
+    return list(zip(c.tolist(), raw.tolist(), optimized.tolist()))
 
 
-# Families the monotonicity audit can scan: the public bound whose plane twin
-# is scanned, and its outer variant.  "optimized" is the default set (the
+# Families the monotonicity audit can scan: the public bound whose plane is
+# scanned, and its outer variant.  "optimized" is the default set (the
 # certification forms); the raw/theorem families document where the
 # un-optimized or as-stated expressions fail to be non-increasing.
 AUDIT_FAMILIES = {

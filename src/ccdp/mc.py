@@ -15,10 +15,11 @@ without changing the result (partial sums are merged in block order).
 """
 
 from dataclasses import dataclass
-from math import log, log2, sqrt
+from math import isfinite, log, log2, sqrt
 
 import numpy as np
 
+from .bounds import _inner_raw_value, _san_rate
 from .errors import CcdpError, DegenerateCovariance, DomainError, InvalidSplit
 from .model import (
     NEGATIVE_PAIRWISE,
@@ -265,7 +266,7 @@ def estimate_san_rate(config, threads=1):
     """
     p, ab = config.params, config.alpha_bar
     a_power = (1.0 - ab) * p.P
-    closed = 0.5 * log2(1.0 + a_power / (p.c2 + ab * p.P + 1.0))
+    closed = _san_rate(p.P, p.c2, ab)
     if a_power == 0.0:
         return _degenerate_zero(config.samples, closed)
     system = SchemeSystem(p, ab)
@@ -287,6 +288,8 @@ def estimate_gp_rate(config, lam=None, receiver=1, threads=1):
     ab_power = ab * p.P
     if ab_power == 0.0:
         raise InvalidSplit("pre-coded layer has zero power (alpha_bar = 0)")
+    if lam is not None and not isfinite(lam):
+        raise DomainError(f"lam must be finite, got {lam!r}")
     system = SchemeSystem(p, ab, lam=lam)
     closed = gp_rate_closed_form(ab_power, p.c2, system.lam)
     y, u, s = f"Y_{receiver}", f"U_{receiver}", f"S_{receiver}"
@@ -329,11 +332,10 @@ def verify_scheme_rate(config, threads=1):
     precode_common = p.rho > 0 and a_power > 0
     system = SchemeSystem(p, ab)
 
-    if precode_common:
-        resid = ab_power + (1.0 - p.rho) * p.c2 + 1.0
-        san_closed = 0.5 * log2(1.0 + a_power / resid)
-    else:
-        san_closed = 0.5 * log2(1.0 + a_power / (p.c2 + ab_power + 1.0))
+    # The common layer sees the states as noise at the effective gain: with
+    # rho > 0 it pre-codes the common component away, leaving (1-rho)*c2.
+    ceff2 = p.c2 * p.rho_bar_plus
+    san_closed = _san_rate(p.P, ceff2, ab)
     gp_closed = 0.5 * log2(1.0 + ab_power)
 
     per_receiver = []
@@ -367,14 +369,11 @@ def verify_scheme_rate(config, threads=1):
         combined.append((total, total_se))
 
     best = min(range(M), key=lambda i: combined[i][0])
-    ceff2 = p.c2 * p.rho_bar_plus
-    closed = 0.5 * log2(1.0 + a_power / (ceff2 + ab_power + 1.0)) \
-        + 1.0 / (2.0 * M) * log2(1.0 + ab_power)
     return SchemeRateReport(
         per_receiver=tuple(per_receiver),
         combined_rate=combined[best][0],
         combined_stderr=combined[best][1],
-        closed_form=closed,
+        closed_form=_inner_raw_value(M, p.P, ceff2, ab),
         samples=n,
     )
 

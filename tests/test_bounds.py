@@ -467,6 +467,63 @@ def test_inner_discontinuity_at_low_branch_point_is_downward():
 
 
 # ---------------------------------------------------------------------------
+# Every branch of every bound against a value simplified by hand.
+# ---------------------------------------------------------------------------
+
+# (bound, variant, M, P, c, rho, branch, value); each c*c is exact, and each
+# value is the branch expression reduced by hand to a few exact logarithms.
+PIECES = [
+    (ccdp2_inner, None, 2, 6.0, 1.0, 0.0, "c2<=1", 1.0),
+    (ccdp2_inner, None, 2, 27.0, 2.0, 0.0, "middle", 1.5),
+    (ccdp2_inner, None, 2, 15.0, 4.0, 0.0, "c2>=P+1", 1.0),
+    (ccdp_m_inner, None, 4, 14.0, 1.0, 0.0, "c2<=M-1", 1.5),
+    (ccdp_m_inner, None, 4, 11.0, 2.0, 0.0, "middle", 0.75),
+    (ccdp_m_inner, None, 4, 15.0, 4.0, 0.0, "time-sharing", 0.5),
+    (ccdp_es_inner, None, 3, 6.0, 1.0, -0.5, "c2<=M-1", 1.0),
+    (ccdp_es_inner, None, 3, 11.0, 4.0, 0.75, "middle", 5.0 / 6.0),
+    (ccdp_es_inner, None, 3, 15.0, 8.0, 0.75, "time-sharing", 2.0 / 3.0),
+    (ccdp2_outer, THEOREM, 2, 15.0, 1.0, 0.0, "c2<=1", 2.0),
+    (ccdp2_outer, THEOREM, 2, 15.0, 2.0, 0.0, "middle", 1.5 + 0.25 * log2(5.0)),
+    (ccdp2_outer, THEOREM, 2, 15.0, 4.0, 0.0, "c2>=P+1", 2.0),
+    (ccdp2_outer, APPENDIX_LOOSENED, 2, 3.0, 0.5, 0.0, "c2<=1", 1.0),
+    (ccdp2_outer, APPENDIX_LOOSENED, 2, 11.0, 2.0, 0.0, "middle", 2.0),
+    (ccdp2_outer, APPENDIX_LOOSENED, 2, 3.0, 2.0, 0.0, "c2>=P+1", 1.5),
+    (ccdp2_outer, RAW, 2, 11.0, 8.0, 0.0, "raw", 0.5 * log2(19.0)),
+    (ccdp_m_outer, THEOREM, 4, 14.0, 1.0, 0.0, "c2<=M-1", 3.75),
+    (ccdp_m_outer, THEOREM, 4, 15.0, 4.0, 0.0, "middle", 3.5),
+    (ccdp_m_outer, THEOREM, 4, 15.0, 8.0, 0.0, "c2>=(M-1)(P+1)", 2.5),
+    (ccdp_m_outer, APPENDIX_FORM, 4, 6.0, 1.0, 0.0, "c2<=M-1", 3.25),
+    (ccdp_m_outer, APPENDIX_FORM, 4, 11.0, 2.0, 0.0, "middle", 2.75),
+    (ccdp_m_outer, APPENDIX_FORM, 4, 15.0, 8.0, 0.0, "c2>=(M-1)(P+1)",
+     3.0 - 0.375 * log2(3.0)),
+    (ccdp_es_outer, THEOREM, 2, 15.0, 2.0, 0.75, "c2<=1", 2.0),
+    (ccdp_es_outer, THEOREM, 2, 11.0, 4.0, 0.75, "middle", 2.0),
+    (ccdp_es_outer, THEOREM, 2, 15.0, 8.0, 0.5, "c2>=P+1", 1.5),
+    (ccdp_es_outer, THEOREM, 3, 15.0, 4.0, 0.75, "middle", 17.0 / 6.0),
+    (ccdp_es_outer, APPENDIX_FORM, 3, 7.0, 8.0, 0.75, "c2>=(M-1)(P+1)",
+     5.0 / 3.0 + 0.5 * log2(3.0)),
+    (baseline_outer_2, None, 2, 4.0, 1.0, 0.0, "c2<4", 1.25),
+    (baseline_outer_2, None, 2, 1.0, 2.0, 0.0, "c2>=4", 0.25 * log2(10.0) - 0.25),
+    (baseline_inner_2, None, 2, 6.0, 1.0, 0.0, "c2<=2", 0.5 * log2(5.0)),
+    (baseline_inner_2, None, 2, 5.0, 2.0, 0.0, "middle", 0.75),
+    (baseline_inner_2, None, 2, 15.0, 8.0, 0.0, "c2>=2(P+1)", 1.0),
+    (baseline_outer_m, None, 4, 9.0, 1.0, 0.0, "unclamped", 1.75),
+    (baseline_outer_m, None, 2, 1.0, 4.0, 0.0, "clamped", log2(5.0) - 1.75),
+]
+
+
+@pytest.mark.parametrize(
+    "bound, variant, M, P, c, rho, branch, value", PIECES,
+    ids=[f"{row[0].__name__}-{row[1]}-M{row[2]}-{row[6]}" for row in PIECES])
+def test_every_branch_equals_its_hand_value(bound, variant, M, P, c, rho,
+                                            branch, value):
+    params = ChannelParams(M, P, c, rho)
+    result = bound(params) if variant is None else bound(params, variant)
+    assert result.branch == branch
+    assert result.value == pytest.approx(value, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Conditional-variance ladder of state differences.
 # ---------------------------------------------------------------------------
 

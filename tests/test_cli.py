@@ -122,6 +122,23 @@ def test_certify_theorem_statement_exits_nonzero_with_warnings(capsys, tmp_path)
     assert doc["results"]["grid"]["outer_variant"] == "theorem-statement"
 
 
+@pytest.mark.parametrize("theorem, given, m_values, rho_values", [
+    ("Th4", ("--M-values", "3,4"), [3, 4], [0.0]),
+    ("Th3", ("--M-values", "2", "--rho-values", "0"), [2], [0.0]),
+    ("Th5", ("--rho-values", "0.5"), [2], [0.5]),
+])
+def test_certify_keeps_given_axes_inside_the_model(capsys, tmp_path, theorem,
+                                                   given, m_values, rho_values):
+    # an axis set away from its default is certified as given, one left at
+    # its default is restricted to the theorem's model
+    out_file = tmp_path / "c.json"
+    code, _, _ = run(capsys, "certify", "--theorem", theorem, *given,
+                     "--P-points", "3", "--c2-points", "3", "--out", str(out_file))
+    grid = json.loads(out_file.read_text())["results"]["grid"]
+    assert code == 0
+    assert grid["m_values"] == m_values and grid["rho_values"] == rho_values
+
+
 def test_certify_requires_theorem(capsys):
     code, _, err = run(capsys, "certify")
     assert code == 2 and "--theorem" in err
@@ -185,6 +202,13 @@ GRID = ("--P-points", "2", "--c2-points", "2")
     (("fig3", "--c-min", "nan", "--points", "3"), "InvalidGain"),
     (("simulate", "--M", "2", "--c2", "4", "--samples", "0"), "CcdpError"),
     (("simulate", "--M", "2", "--c2", "4", "--target", "nope"), "CcdpError"),
+    (("certify", "--theorem", "Th3", "--M-values", "3,4", "--rho-values", "0.5",
+      *GRID), "WrongModel"),
+    (("certify", "--theorem", "Th3", "--rho-values", "0.5", *GRID), "WrongModel"),
+    (("certify", "--theorem", "Th4", "--rho-values", "0.5", *GRID), "WrongModel"),
+    (("certify", "--theorem", "Th4", "--rho-values", "5", *GRID), "WrongModel"),
+    (("certify", "--theorem", "Th5", "--M-values", "3", *GRID), "WrongModel"),
+    (("fig3", "--c-min", "0", "--points", "3"), "DomainError"),
 ])
 def test_invalid_grid_input_exits_2(capsys, tmp_path, argv, error):
     out = tmp_path / "out"

@@ -445,11 +445,12 @@ def test_fig3_structure():
 
 def test_fig3_matches_golden_section_oracle():
     from scipy.optimize import minimize_scalar
-    from ccdp.bounds import _outer2_raw
+
+    def raw(c):
+        return ccdp2_outer(ChannelParams(2, 10.0, c), RAW).value
     for c in (0.5, 2.0, 5.0, 9.0):
         opt = fig3_curve(10.0, [c])[0][2]
-        res = minimize_scalar(lambda x: _outer2_raw(10.0, x * x),
-                              bounds=(1e-6, c), method="bounded",
+        res = minimize_scalar(raw, bounds=(1e-6, c), method="bounded",
                               options={"xatol": 1e-12})
         # boundary minima leave the numerical oracle ~1e-8 short
         assert opt == pytest.approx(res.fun, abs=1e-7)
