@@ -75,19 +75,48 @@ class PowerSplit:
         return 1.0 - self.alpha_bar
 
 
-def _require_model(M, rho, model_M=None, model_rho=None):
+# Branch labels by code; planes return codes into this tuple.
+BRANCHES = (BR_LOW_2, BR_MIDDLE, BR_HIGH_2, BR_LOW_M, BR_HIGH_M,
+            BR_TIME_SHARING, "raw", "c2<4", "c2>=4")
+
+
+class _Table(dict):
+    """A dict whose missing key raises ValueError naming the valid keys."""
+
+    def __init__(self, kind, entries):
+        super().__init__(entries)
+        self.kind = kind
+
+    def __missing__(self, key):
+        raise ValueError(f"unknown {self.kind} {key!r}, expected one of {tuple(self)}")
+
+
+@dataclass(frozen=True, slots=True)
+class _Spec:
+    """A public bound: the model (M, rho) it applies to (None: any), its
+    breakpoints (t1, t2) at (M, P), its pieces by variant as a (general, at
+    M = 2) pair, and whether they take the cross term 1+P+c2+2c*sqrt(P)."""
+
+    M: int | None
+    rho: float | None
+    breaks: object
+    pieces: _Table
+    cross: bool = False
+
+
+def _require_model(M, rho, spec):
     # The one applicability rule of a bound, for its scalar and plane forms.
-    if model_M is not None and M != model_M:
-        raise WrongModel(f"bound requires M={model_M}, got M={M}")
-    if model_rho is not None and rho != model_rho:
-        raise WrongModel(f"bound requires rho={model_rho}, got rho={rho}")
+    if spec.M is not None and M != spec.M:
+        raise WrongModel(f"bound requires M={spec.M}, got M={M}")
+    if spec.rho is not None and rho != spec.rho:
+        raise WrongModel(f"bound requires rho={spec.rho}, got rho={rho}")
 
 
 # ---------------------------------------------------------------------------
 # Pieces: fn(M, P, c2, lg) is one branch's expression.  A public bound picks
 # the piece of its point with a plain-Python rule and calls it with
 # lg = math.log2; a plane calls it with lg = _log2_plane on the elements of its
-# branch (``_pieces``).  Both run the same operations, so give the same bits.
+# branch (``_plane``).  Both run the same operations, so give the same bits.
 # ---------------------------------------------------------------------------
 
 def _awgn(M, P, c2, lg):
@@ -135,6 +164,13 @@ def _outer2_raw(M, P, c2, lg):
     return 0.5 * lg(P + c2 + 1.0) - 0.25 * lg(c2) + 0.5
 
 
+def _raw(M, P, c2, lg):
+    # The raw expression on all three branches: the one piece that can see c2 <= 0.
+    if np.any(c2 <= 0.0):
+        raise DomainError("raw outer bound needs c > 0")
+    return _outer2_raw(M, P, c2, lg)
+
+
 def _outer2_stated_middle(M, P, c2, lg):
     # The Th3 statement keeps -1/4*log2(c2+1) where the raw form has log2(c2).
     return 0.5 * lg(P + c2 + 1.0) - 0.25 * lg(c2 + 1.0) + 0.5
@@ -176,10 +212,46 @@ _OUTER_M_THEOREM = ((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_theorem_mi
                     (BR_HIGH_M, _outer_theorem_high))
 _OUTER_M_APPENDIX = ((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_appendix_middle),
                      (BR_HIGH_M, _outer_appendix_high))
-# One or two pieces, on c2 < t2 and c2 >= t2 with t1 = -inf.
-_RAW_2 = (None, ("raw", _outer2_raw), None)
-_BASELINE_OUTER_2 = (None, ("c2<4", _baseline_outer2_low),
-                     ("c2>=4", _baseline_outer2_high))
+_RAW_2 = (("raw", _raw),) * 3
+# Two pieces, on c2 < 4 and c2 >= 4 (t1 = -inf, so the first slot is unused).
+_BASELINE_OUTER_2 = (("c2<4", _baseline_outer2_low),) * 2 + (("c2>=4", _baseline_outer2_high),)
+
+
+def _inner_breaks(M, P):
+    return M - 1.0, P + 1.0
+
+
+def _outer_breaks(M, P):
+    return M - 1.0, (M - 1.0) * (P + 1.0)
+
+
+def _variants(pieces, at_two=None):
+    # A spec's variant table: the (label, fn, code) triples of each variant's
+    # pieces, and of the ones ``at_two`` gives it at M = 2 (the same by default).
+    def coded(p):
+        return tuple((label, fn, BRANCHES.index(label)) for label, fn in p)
+    return _Table("variant", {variant: (coded(p), coded((at_two or {}).get(variant, p)))
+                              for variant, p in pieces.items()})
+
+
+# The spec of each bound a plane evaluates.  Its public scalar function checks
+# the same model, takes the same pieces and writes the same breakpoints in its
+# branch rule; the plane tests compare the two with ==.
+_SPECS = {
+    "ccdp2_inner": _Spec(2, 0.0, _inner_breaks, _variants({THEOREM: _INNER_2})),
+    "ccdp2_outer": _Spec(2, 0.0, _outer_breaks, _variants({
+        THEOREM: _OUTER_2_STATED, APPENDIX_LOOSENED: _OUTER_2_LOOSENED, RAW: _RAW_2})),
+    "ccdp_m_inner": _Spec(None, 0.0, _inner_breaks, _variants({THEOREM: _INNER_M})),
+    "ccdp_m_outer": _Spec(None, 0.0, _outer_breaks, _variants({
+        THEOREM: _OUTER_M_THEOREM, APPENDIX_FORM: _OUTER_M_APPENDIX})),
+    "ccdp_es_inner": _Spec(None, None, _inner_breaks, _variants({THEOREM: _INNER_M})),
+    # The stated correlated-states outer has its own two-receiver form.
+    "ccdp_es_outer": _Spec(None, None, _outer_breaks, _variants(
+        {THEOREM: _OUTER_M_THEOREM, APPENDIX_FORM: _OUTER_M_APPENDIX},
+        at_two={THEOREM: _ES_OUTER_2})),
+    "baseline_outer_2": _Spec(2, 0.0, lambda M, P: (-inf, 4.0),
+                              _variants({THEOREM: _BASELINE_OUTER_2}), cross=True),
+}
 
 
 def awgn_capacity(P):
@@ -199,16 +271,17 @@ def baseline_outer_2(params):
     Kept as a baseline: it tends to 1/4*log2(1+P) for large gains, so it is
     weaker than the optimized bounds below except at small P.
     """
-    _require_model(params.M, params.rho, 2, 0.0)
+    spec = _SPECS["baseline_outer_2"]
+    _require_model(params.M, params.rho, spec)
     P, c, c2 = params.P, params.c, params.c2
     s = 1.0 + P + c2 + 2.0 * c * sqrt(P)
-    label, fn = _BASELINE_OUTER_2[1 if c2 < 4.0 else 2]
+    label, fn, _ = spec.pieces[THEOREM][True][1 if c2 < 4.0 else 2]
     return BoundResult(fn(2, P, c2, log2, s), label, THEOREM, params)
 
 
 def baseline_inner_2(params):
     """Earlier two-receiver inner bound; branch points c2 = 2 and c2 = 2(P+1)."""
-    _require_model(params.M, params.rho, 2, 0.0)
+    _require_model(params.M, params.rho, _SPECS["baseline_outer_2"])
     P, c2 = params.P, params.c2
     if c2 <= 2.0:
         return BoundResult(0.5 * log2(1.0 + P / (c2 / 2.0 + 1.0)),
@@ -225,16 +298,18 @@ def baseline_outer_m(params):
     Single expression; the positive-part term activates at c2 = M(P+1).
     Requires c > 0 (the expression contains log2(c2)).
     """
-    _require_model(params.M, params.rho, model_rho=0.0)
+    _require_model(params.M, params.rho, _SPECS["ccdp_m_outer"])
     M, P, c, c2 = params.M, params.P, params.c, params.c2
     if c2 <= 0.0:
         raise DomainError("baseline M-receiver outer bound needs c > 0")
+    # The positive part is taken before log2, whose argument underflows to 0
+    # at a tiny gain.
+    clamped = c2 > M * (P + 1.0)
     value = 0.5 * log2(P + c2 + 2.0 * c * sqrt(P)) \
         - (M - 1) / (2.0 * M) * log2(c2) \
         - 1.0 / (2.0 * M) * log2(M) \
-        - max(0.0, 1.0 / (2.0 * M) * log2(c2 / (M * (P + 1.0))))
-    branch = "clamped" if c2 > M * (P + 1.0) else "unclamped"
-    return BoundResult(value, branch, THEOREM, params)
+        - (1.0 / (2.0 * M) * log2(c2 / (M * (P + 1.0))) if clamped else 0.0)
+    return BoundResult(value, "clamped" if clamped else "unclamped", THEOREM, params)
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +323,11 @@ def ccdp2_outer(params, variant=THEOREM):
     ``appendix-loosened`` uses -1/4*log2(c2), and ``raw-unoptimized`` is the
     middle expression alone, without clamping to the trivial/high branches.
     """
-    _require_model(params.M, params.rho, 2, 0.0)
+    spec = _SPECS["ccdp2_outer"]
+    _require_model(params.M, params.rho, spec)
     P, c2 = params.P, params.c2
-    if variant == RAW:
-        if c2 <= 0.0:
-            raise DomainError("raw outer bound needs c > 0")
-        return BoundResult(_outer2_raw(2, P, c2, log2), "raw", RAW, params)
-    if variant not in (THEOREM, APPENDIX_LOOSENED):
-        raise ValueError(f"unknown variant {variant!r}")
-    pieces = _OUTER_2_STATED if variant == THEOREM else _OUTER_2_LOOSENED
-    label, fn = pieces[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
+    pieces = spec.pieces[variant][True]
+    label, fn, _ = pieces[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
     return BoundResult(fn(2, P, c2, log2), label, variant, params)
 
 
@@ -266,7 +336,7 @@ def ccdp2_inner(params):
 
     Equals the maximum over the power split of ``ccdp_m_inner_raw`` at M=2.
     """
-    _require_model(params.M, params.rho, 2, 0.0)
+    _require_model(params.M, params.rho, _SPECS["ccdp2_inner"])
     P, c2 = params.P, params.c2
     label, fn = _INNER_2[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
     return BoundResult(fn(2, P, c2, log2), label, THEOREM, params)
@@ -294,7 +364,7 @@ def ccdp_m_inner_raw(params, alpha_bar):
     1/2*log2(1 + aP/(c2+abP+1)) + 1/(2M)*log2(1+abP), where the pre-coded
     layer carries alpha_bar of the power and is live 1/M of the time.
     """
-    _require_model(params.M, params.rho, model_rho=0.0)
+    _require_model(params.M, params.rho, _SPECS["ccdp_m_inner"])
     if not 0.0 <= alpha_bar <= 1.0:
         raise InvalidSplit(f"alpha_bar must be in [0, 1], got {alpha_bar!r}")
     value = _inner_raw_value(params.M, params.P, params.c2, alpha_bar)
@@ -313,7 +383,7 @@ def _inner_raw_value(M, P, c2, alpha_bar):
 
 def ccdp_m_inner(params):
     """Optimized M-receiver inner bound; see ``_INNER_M`` for its branches."""
-    _require_model(params.M, params.rho, model_rho=0.0)
+    _require_model(params.M, params.rho, _SPECS["ccdp_m_inner"])
     M, P, c2 = params.M, params.P, params.c2
     label, fn = _INNER_M[0 if c2 <= M - 1.0 else 1 if c2 < P + 1.0 else 2]
     return BoundResult(fn(M, P, c2, log2), label, THEOREM, params)
@@ -327,13 +397,12 @@ def ccdp_m_outer(params, variant=THEOREM):
     and is the variant the gap certificates use.  Both share the small-gain
     branch 1/2*log2(1+P/(1+c2)) + 9/4.
     """
-    _require_model(params.M, params.rho, model_rho=0.0)
-    if variant not in (THEOREM, APPENDIX_FORM):
-        raise ValueError(f"unknown variant {variant!r}")
-    pieces = _OUTER_M_THEOREM if variant == THEOREM else _OUTER_M_APPENDIX
+    spec = _SPECS["ccdp_m_outer"]
+    _require_model(params.M, params.rho, spec)
     M, P, c2 = params.M, params.P, params.c2
+    pieces = spec.pieces[variant][M == 2]
     t1 = M - 1.0
-    label, fn = pieces[0 if c2 <= t1 else 1 if c2 < t1 * (P + 1.0) else 2]
+    label, fn, _ = pieces[0 if c2 <= t1 else 1 if c2 < t1 * (P + 1.0) else 2]
     return BoundResult(fn(M, P, c2, log2), label, variant, params)
 
 
@@ -368,14 +437,11 @@ def ccdp_es_outer(params, variant=THEOREM):
     general-M form otherwise).  ``appendix-form`` is the independent-state
     appendix outer at the effective gain, used for certification.
     """
-    if variant not in (THEOREM, APPENDIX_FORM):
-        raise ValueError(f"unknown variant {variant!r}")
     M, P = params.M, params.P
-    pieces = (_OUTER_M_APPENDIX if variant == APPENDIX_FORM
-              else _ES_OUTER_2 if M == 2 else _OUTER_M_THEOREM)
+    pieces = _SPECS["ccdp_es_outer"].pieces[variant][M == 2]
     ceff2 = params.c2 * params.rho_bar_plus
     t1 = M - 1.0
-    label, fn = pieces[0 if ceff2 <= t1 else 1 if ceff2 < t1 * (P + 1.0) else 2]
+    label, fn, _ = pieces[0 if ceff2 <= t1 else 1 if ceff2 < t1 * (P + 1.0) else 2]
     return BoundResult(fn(M, P, ceff2, log2), label, variant, params)
 
 
@@ -383,63 +449,33 @@ def ccdp_es_outer(params, variant=THEOREM):
 # Planes: the pieces above over a column of powers and a row of gains.
 # ---------------------------------------------------------------------------
 
-# Branch labels by code; planes return codes into this tuple.
-BRANCHES = (BR_LOW_2, BR_MIDDLE, BR_HIGH_2, BR_LOW_M, BR_HIGH_M,
-            BR_TIME_SHARING, "raw", "c2<4", "c2>=4")
-
-# _require_model arguments of the public bounds that apply to one model only.
-_MODELS = {"ccdp2_inner": (2, 0.0), "ccdp2_outer": (2, 0.0),
-           "baseline_outer_2": (2, 0.0), "ccdp_m_inner": (None, 0.0),
-           "ccdp_m_outer": (None, 0.0)}
-
-
 def _log2_plane(x):
     # math.log2 per element: np.log2 differs from it in the last ulp on
     # 1 in 300 to 1 in 20,000 inputs, depending on their range.
     return np.fromiter(map(log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _pieces(pieces, t1, t2, M, P, c2, *more):
-    """Values and branch codes of three (label, fn) pieces on c2 <= t1,
-    t1 < c2 < t2 and c2 >= t2, over broadcast arrays.  Each fn sees only the
-    elements of its own piece, so no expression is evaluated off its branch."""
-    t1, t2, P, c2, *more = np.broadcast_arrays(t1, t2, P, c2, *more)
+def _plane(bound, M, P, c, rho, variant=THEOREM):
+    """The public bound named ``bound`` at one (M, rho): (values, branch
+    codes) over a column of powers P times a row of gains c, from its spec,
+    at the effective gain (c*c)(1-max(rho, 0)), which is the scalar c2 itself
+    where the model fixes rho = 0.  Each piece sees only the elements of its
+    own branch, so no expression is evaluated off its branch."""
+    spec = _SPECS[bound]
+    _require_model(M, rho, spec)
+    pieces = spec.pieces[variant][M == 2]
+    c2 = (c * c) * (1.0 - max(rho, 0.0))
+    more = (1.0 + P + c2 + 2.0 * c * np.sqrt(P),) if spec.cross else ()
+    t1, t2, P, c2, *more = np.broadcast_arrays(*spec.breaks(M, P), P, c2, *more)
     low = c2 <= t1
     high = ~low & (c2 >= t2)
     values, codes = np.empty(c2.shape), np.empty(c2.shape, np.int8)
-    for mask, piece in zip((low, ~(low | high), high), pieces):
+    for mask, (_, fn, code) in zip((low, ~(low | high), high), pieces):
         if mask.any():
-            label, fn = piece
             values[mask] = fn(M, P[mask], c2[mask], _log2_plane,
                               *(a[mask] for a in more))
-            codes[mask] = BRANCHES.index(label)
+            codes[mask] = code
     return values, codes
-
-
-def _plane(bound, M, P, c, rho, variant=None):
-    """The public bound named ``bound`` at one (M, rho): (values, branch
-    codes) over a column of powers P times a row of gains c, under the same
-    WrongModel rule and the same effective gain (c*c)(1-max(rho, 0))."""
-    _require_model(M, rho, *_MODELS.get(bound, ()))
-    c2 = (c * c) * (1.0 - max(rho, 0.0))
-    if bound == "baseline_outer_2":
-        s = 1.0 + P + c2 + 2.0 * c * np.sqrt(P)
-        return _pieces(_BASELINE_OUTER_2, -inf, 4.0, 2, P, c2, s)
-    if bound.endswith("_inner"):
-        pieces = _INNER_2 if bound == "ccdp2_inner" else _INNER_M
-        return _pieces(pieces, M - 1.0, P + 1.0, M, P, c2)
-    if variant == RAW:
-        if np.any(c2 <= 0.0):
-            raise DomainError("raw outer bound needs c > 0")
-        return _pieces(_RAW_2, -inf, inf, 2, P, c2)
-    if bound == "ccdp2_outer":
-        pieces = _OUTER_2_STATED if variant == THEOREM else _OUTER_2_LOOSENED
-    elif variant == APPENDIX_FORM:
-        pieces = _OUTER_M_APPENDIX
-    else:  # the theorem statement; the ES outer has its own M = 2 form
-        es2 = bound == "ccdp_es_outer" and M == 2
-        pieces = _ES_OUTER_2 if es2 else _OUTER_M_THEOREM
-    return _pieces(pieces, M - 1.0, (M - 1.0) * (P + 1.0), M, P, c2)
 
 
 # ---------------------------------------------------------------------------

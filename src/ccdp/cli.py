@@ -199,6 +199,18 @@ def _write(text, out):
                 fh.write(text[start:start + (1 << 20)])
 
 
+def _release_heap():
+    # Return the C heap's free pages to the OS (glibc only).  A standard
+    # sweep frees some 75 MB of CSV text and columns inside the heap; whether
+    # those pages stay resident in a long-running caller otherwise depends on
+    # the heap's layout.
+    try:
+        import ctypes
+        ctypes.CDLL("libc.so.6").malloc_trim(0)
+    except (OSError, AttributeError):
+        pass
+
+
 def _meta(command, resolved, with_seed=False):
     meta = {"tool_version": __version__,
             "config_hash": config_hash(command, resolved)}
@@ -273,38 +285,34 @@ def _estimate_dict(est):
 
 def cmd_bounds(resolved):
     params, c2 = _params_from(resolved)
-    inner, outer, variant = gaps.bound_pair(params.M, params.rho,
-                                            bounds.APPENDIX_FORM)
-    _, theorem_outer, theorem_variant = gaps.bound_pair(params.M, params.rho,
-                                                        bounds.THEOREM)
-    inner = getattr(bounds, inner)(params)
-    appendix = getattr(bounds, outer)(params, variant)
-    theorem = getattr(bounds, theorem_outer)(params, theorem_variant)
-    gap = appendix.value - inner.value
+    # The sweep rows of this point, with the appendix and the stated outer.
+    appendix, stated = (
+        gaps.run_sweep(gaps.SweepGrid((params.M,), (params.P,), (c2,), (params.rho,),
+                                      outer_variant=variant))
+        for variant in (bounds.APPENDIX_FORM, bounds.THEOREM))
+    row, theorem = appendix.row(0), stated.row(0)
 
     if resolved["format"] == "json":
         results = {
-            "inner": {"value": inner.value, "branch": inner.branch},
-            "outer_appendix": {"value": appendix.value, "branch": appendix.branch,
-                               "variant": appendix.variant},
-            "outer_theorem": {"value": theorem.value, "branch": theorem.branch,
+            "inner": {"value": row.inner, "branch": row.inner_branch},
+            "outer_appendix": {"value": row.outer, "branch": row.outer_branch,
+                               "variant": row.variant},
+            "outer_theorem": {"value": theorem.outer, "branch": theorem.outer_branch,
                               "variant": theorem.variant},
-            "gap": gap,
+            "gap": row.gap,
         }
-        _write(_envelope("bounds", resolved, results, max_gap=gap), resolved["out"])
-    elif resolved["format"] == "csv":  # the sweep row of this point
-        point = gaps.SweepGrid((params.M,), (params.P,), (c2,), (params.rho,))
-        _write(gaps.rows_to_csv(gaps.run_sweep(point), _meta("bounds", resolved)),
-               resolved["out"])
+        _write(_envelope("bounds", resolved, results, max_gap=row.gap), resolved["out"])
+    elif resolved["format"] == "csv":
+        _write(gaps.rows_to_csv(appendix, _meta("bounds", resolved)), resolved["out"])
     else:
         _write(
-            f"inner {inner.value:.6f}\n"
-            f"outer(appendix) {appendix.value:.6f}\n"
-            f"outer(theorem) {theorem.value:.6f}\n"
-            f"gap {gap:.6f}\n",
+            f"inner {row.inner:.6f}\n"
+            f"outer(appendix) {row.outer:.6f}\n"
+            f"outer(theorem) {theorem.outer:.6f}\n"
+            f"gap {row.gap:.6f}\n",
             resolved["out"])
     print(f"bounds: M={params.M} P={params.P} c2={params.c2} rho={params.rho} "
-          f"gap={gap:.6f}", file=sys.stderr)
+          f"gap={row.gap:.6f}", file=sys.stderr)
     return 0
 
 
@@ -494,7 +502,10 @@ def main(argv=None):
         if ns.dump_config:
             with open(ns.dump_config, "w", encoding="utf-8") as fh:
                 fh.write(dump_config_text(command, resolved))
-        return _HANDLERS[command](resolved)
+        try:
+            return _HANDLERS[command](resolved)
+        finally:
+            _release_heap()
     except Exception as exc:  # CcdpError is a ValueError
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2 if isinstance(exc, (ValueError, OSError)) else 3

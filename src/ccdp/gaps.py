@@ -12,7 +12,9 @@ runs over the same grid produce byte-identical CSV.
 """
 
 import json
-from dataclasses import astuple, dataclass, field, replace
+from collections import namedtuple
+from copy import copy
+from dataclasses import astuple, dataclass, field
 from math import inf, isfinite, prod, sqrt
 
 import numpy as np
@@ -27,8 +29,17 @@ CSV_CHUNK = 1 << 15
 SMALL_P = 3.0
 SMALL_C2 = 3.0
 
-CLAIMED_GAP = {"Th3": 1.0, "Th4": 2.25, "Th5": 2.25, "Th6": 2.25}
-THEOREMS = tuple(CLAIMED_GAP)
+# A constant-gap theorem: its claimed gap (bpcu), the family of its bound
+# pair in ``bounds`` and the outer variant that family's appendix form is
+# called there, and the model it states, M and rho (None: any).
+_Theorem = namedtuple("_Theorem", "gap family appendix M rho")
+_THEOREMS = bounds._Table("theorem", {
+    "Th3": _Theorem(1.0, "ccdp2", bounds.APPENDIX_LOOSENED, 2, 0.0),
+    "Th4": _Theorem(2.25, "ccdp_m", bounds.APPENDIX_FORM, None, 0.0),
+    "Th5": _Theorem(2.25, "ccdp_es", bounds.APPENDIX_FORM, 2, None),
+    "Th6": _Theorem(2.25, "ccdp_es", bounds.APPENDIX_FORM, None, None),
+})
+THEOREMS = tuple(_THEOREMS)
 
 # The CSV header and the JSON keys of a row, in GapRow field order.
 CSV_COLUMNS = ("M", "P", "c", "rho", "variant",
@@ -36,44 +47,42 @@ CSV_COLUMNS = ("M", "P", "c", "rho", "variant",
                "inner_branch", "outer_branch")
 
 
-def normalize_variant(token):
-    """The outer-variant family a spelling names: appendix-form (spelled
-    "appendix", "appendix-form" or "appendix-loosened") or theorem-statement."""
-    if token in ("appendix", bounds.APPENDIX_FORM, bounds.APPENDIX_LOOSENED):
-        return bounds.APPENDIX_FORM
-    if token == bounds.THEOREM:
-        return bounds.THEOREM
-    raise ValueError(f"unknown outer variant {token!r}")
+# The outer-variant family each spelling names.
+_FAMILY = bounds._Table("outer variant", {
+    "appendix": bounds.APPENDIX_FORM, bounds.APPENDIX_FORM: bounds.APPENDIX_FORM,
+    bounds.APPENDIX_LOOSENED: bounds.APPENDIX_FORM, bounds.THEOREM: bounds.THEOREM})
 
 
 def bound_pair(M, rho, variant, theorem=None):
     """(inner name, outer name, outer variant) for an (M, rho) slice: the
-    names of two public bounds in ``bounds``, picked by model.
+    names of two public bounds in ``bounds`` and the outer variant, from the
+    theorem's row; ``variant`` is a normalized family.
 
-    ``variant`` is a normalized family.  theorem=None is the sweep rule: the
-    dedicated two-receiver pair at M = 2 with independent states, the
-    correlated-states pair everywhere else.  Th3 uses the two-receiver pair,
-    Th4 the independent-state M-receiver pair, Th5/Th6 the correlated-states
-    pair.  The two-receiver appendix family is the loosened form.  A point
-    calls getattr(bounds, name); a plane calls bounds._plane(name, ...).
+    theorem=None is the sweep rule: the two-receiver theorem's pair at M = 2
+    with independent states, the general correlated-states pair elsewhere.
+    A plane evaluates a name with bounds._plane(name, ...).
     """
     if theorem is None:
         theorem = "Th3" if M == 2 and rho == 0.0 else "Th6"
-    family = {"Th3": "ccdp2", "Th4": "ccdp_m", "Th5": "ccdp_es", "Th6": "ccdp_es"}
-    if theorem not in family:
-        raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
-    if theorem == "Th3" and variant == bounds.APPENDIX_FORM:
-        variant = bounds.APPENDIX_LOOSENED
-    return f"{family[theorem]}_inner", f"{family[theorem]}_outer", variant
+    row = _THEOREMS[theorem]
+    if variant == bounds.APPENDIX_FORM:
+        variant = row.appendix
+    return f"{row.family}_inner", f"{row.family}_outer", variant
 
 
-# Per-axis value checks: the ChannelParams check of the field fed (c2 as c).
-# Explicit rho values are only made floats; SweepGrid rejects non-finite ones
-# and rho_axis filters out the infeasible ones per M.
+def _check_c2(c2):
+    # The ChannelParams check of the gain sqrt(c2) a squared gain stands for.
+    ChannelParams(2, 1.0, sqrt(c2) if c2 > 0.0 else c2)
+    return float(c2)
+
+
+# Per-axis value checks: the ChannelParams check of the field fed, including
+# its ceiling.  Explicit rho values are only made floats; SweepGrid rejects
+# non-finite ones and rho_axis filters out the infeasible ones per M.
 AXIS_CHECKS = {
     "m_values": lambda M: ChannelParams(M, 1.0, 0.0).M,
     "p_values": lambda P: float(ChannelParams(2, P, 0.0).P),
-    "c2_values": lambda c2: float(ChannelParams(2, 1.0, c2).c),
+    "c2_values": _check_c2,
     "rho_values": float,
 }
 
@@ -93,7 +102,7 @@ class SweepGrid:
     outer_variant: str = bounds.APPENDIX_FORM
 
     def __post_init__(self):
-        object.__setattr__(self, "outer_variant", normalize_variant(self.outer_variant))
+        object.__setattr__(self, "outer_variant", _FAMILY[self.outer_variant])
         if self.rho_values is not None and not all(map(isfinite, self.rho_values)):
             raise InfeasibleRho(f"rho_values must be finite, got {self.rho_values}")
         for name, check in AXIS_CHECKS.items():
@@ -236,9 +245,10 @@ def _evaluate_columns(grid, theorem=None):
         for k, rho in enumerate(rhos):
             inner, outer, variant = bound_pair(M, rho, grid.outer_variant, theorem)
             block["variant"][..., k] = variant
-            for name, bound in (("inner", inner), ("outer", outer)):
-                block[name][..., k], block[f"{name}_branch"][..., k] = \
-                    bounds._plane(bound, M, P, c, rho, variant)
+            block["inner"][..., k], block["inner_branch"][..., k] = \
+                bounds._plane(inner, M, P, c, rho)
+            block["outer"][..., k], block["outer_branch"][..., k] = \
+                bounds._plane(outer, M, P, c, rho, variant)
         np.subtract(block["outer"], block["inner"], out=block["gap"])
     return columns
 
@@ -252,40 +262,47 @@ def run_sweep(grid):
     return GapReport(grid, _evaluate_columns(grid)).finalize()
 
 
-_MODEL_AXES = {"Th3": {"m_values": (2,), "rho_values": (0.0,)},
-               "Th4": {"rho_values": (0.0,)}, "Th5": {"m_values": (2,)}, "Th6": {}}
+def _with(grid, **fields):
+    # A copy of a checked grid with fields that need no second check: the
+    # axes a theorem's model fixes, a normalized variant.
+    new = copy(grid)
+    new.__dict__.update(fields)
+    return new
 
 
 def theorem_grid(theorem, grid=None, keep=()):
     """The grid (standard by default) with the axes the theorem's model fixes;
     axes named in ``keep`` stay as given, for ``certify_theorem`` to check."""
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
-    base = grid or standard_grid()
-    axes = {k: v for k, v in _MODEL_AXES[theorem].items() if k not in keep}
-    return replace(base, **axes) if axes else base
+    row = _THEOREMS[theorem]
+    fixed = {axis: (value,) for axis, value in (("m_values", row.M), ("rho_values", row.rho))
+             if value is not None and axis not in keep}
+    return _with(grid or standard_grid(), **fixed)
 
 
 def certify_theorem(theorem, grid, variant_kind="appendix"):
     """Certify one constant-gap claim over a (suitably restricted) grid.
 
     Raises WrongModel if the grid contains points outside the theorem's
-    model.  The certificate compares max(outer - inner) against the claimed
-    constant; theorem-statement variants are reported with a warning where
-    the stated expression is known to disagree with its derivation.
+    model, and InfeasibleRho if no point of the grid is feasible.  The
+    certificate compares max(outer - inner) against the claimed constant;
+    theorem-statement variants are reported with a warning where the stated
+    expression is known to disagree with its derivation.
     """
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
-    if theorem in ("Th3", "Th5") and tuple(grid.m_values) != (2,):
-        raise WrongModel(f"{theorem} applies to M=2 only, grid has {grid.m_values}")
-    if theorem in ("Th3", "Th4") and grid.rho_values != (0.0,):
-        raise WrongModel(f"{theorem} applies to independent states (rho=0), "
-                         f"grid has {grid.rho_values or 'the feasible rho axis'}")
-
-    grid = replace(grid, outer_variant=normalize_variant(variant_kind))
+    row = _THEOREMS[theorem]
+    if row.M is not None and grid.m_values != (row.M,):
+        raise WrongModel(f"{theorem} applies to M={row.M} only, grid has {grid.m_values}")
+    if row.rho is not None and grid.rho_values != (row.rho,):
+        raise WrongModel(f"{theorem} applies to rho={row.rho} only, grid has "
+                         f"{grid.rho_values or 'the feasible rho axis'}")
+    grid = _with(grid, outer_variant=_FAMILY[variant_kind])
+    if not grid.size():
+        raise InfeasibleRho(f"no rho value of {grid.rho_values} is feasible for "
+                            f"M in {grid.m_values}: the grid has no point")
     report = GapReport(grid, _evaluate_columns(grid, theorem),
-                       claimed_gap=CLAIMED_GAP[theorem], theorem=theorem).finalize()
-    if grid.outer_variant == bounds.THEOREM and theorem in ("Th4", "Th6"):
+                       claimed_gap=row.gap, theorem=theorem).finalize()
+    # The general-M statement, which a theorem over any M evaluates, rises
+    # with the gain on its middle branch.
+    if grid.outer_variant == bounds.THEOREM and row.M is None:
         report.warnings.append(
             "theorem-statement outer: the middle branch increases with the "
             "state gain, so it disagrees with the non-increasing appendix "
@@ -310,21 +327,21 @@ def fig3_curve(P, c_values):
 
 
 # Families the monotonicity audit can scan: the public bound whose plane is
-# scanned, and its outer variant.  "optimized" is the default set (the
+# scanned, and its variant.  "optimized" is the default set (the
 # certification forms); the raw/theorem families document where the
 # un-optimized or as-stated expressions fail to be non-increasing.
 AUDIT_FAMILIES = {
-    "inner-2": ("ccdp2_inner", None),
+    "inner-2": ("ccdp2_inner", bounds.THEOREM),
     "outer-2-appendix": ("ccdp2_outer", bounds.APPENDIX_LOOSENED),
-    "inner-m": ("ccdp_m_inner", None),
+    "inner-m": ("ccdp_m_inner", bounds.THEOREM),
     "outer-m-appendix": ("ccdp_m_outer", bounds.APPENDIX_FORM),
-    "inner-es": ("ccdp_es_inner", None),
+    "inner-es": ("ccdp_es_inner", bounds.THEOREM),
     "outer-es-appendix": ("ccdp_es_outer", bounds.APPENDIX_FORM),
     "outer-2-raw": ("ccdp2_outer", bounds.RAW),
     "outer-2-theorem": ("ccdp2_outer", bounds.THEOREM),
     "outer-m-theorem": ("ccdp_m_outer", bounds.THEOREM),
     "outer-es-theorem": ("ccdp_es_outer", bounds.THEOREM),
-    "baseline-outer-2": ("baseline_outer_2", None),
+    "baseline-outer-2": ("baseline_outer_2", bounds.THEOREM),
 }
 OPTIMIZED_FAMILIES = ("inner-2", "outer-2-appendix", "inner-m",
                       "outer-m-appendix", "inner-es", "outer-es-appendix")

@@ -12,7 +12,6 @@ be generated in any order (or in parallel) without changing the output.
 """
 
 from dataclasses import dataclass
-from math import inf
 
 import numpy as np
 
@@ -23,6 +22,13 @@ from .errors import InfeasibleRho, InvalidGain, InvalidM, InvalidPower
 FEASIBILITY_TOL = 1e-12
 
 SAMPLE_BLOCK = 1 << 16  # rows per counter block
+
+# Ceilings of ChannelParams: with M <= 2**53, M - 1.0 is exact, and with
+# P <= 1e280 and c <= 1e140 every intermediate term of every bound, such as
+# M*(P+1) and 1+P+c2+2c*sqrt(P), stays finite.
+_MAX_M = 2 ** 53
+_MAX_P = 1e280
+_MAX_C = 1e140
 
 _U64 = (1 << 64) - 1
 
@@ -46,19 +52,20 @@ class ChannelParams:
     immutable and safe to share across workers.
     """
 
-    M: int        # number of receivers, >= 2
-    P: float      # transmit power, linear scale
-    c: float      # state gain (amplitude), >= 0
+    M: int        # number of receivers, 2..2**53
+    P: float      # transmit power, linear scale, in (0, 1e280]
+    c: float      # state gain (amplitude), in [0, 1e140]
     rho: float = 0.0  # pairwise state correlation
 
     def __post_init__(self):
-        if not isinstance(self.M, (int, np.integer)) or isinstance(self.M, bool) or self.M < 2:
-            raise InvalidM(f"M must be an integer >= 2, got {self.M!r}")
+        if not isinstance(self.M, (int, np.integer)) or isinstance(self.M, bool) \
+                or not 2 <= self.M <= _MAX_M:
+            raise InvalidM(f"M must be an integer in [2, 2**53], got {self.M!r}")
         object.__setattr__(self, "M", int(self.M))
-        if not 0.0 < self.P < inf:
-            raise InvalidPower(f"P must be finite and > 0, got {self.P!r}")
-        if not 0.0 <= self.c < inf:
-            raise InvalidGain(f"c must be finite and >= 0, got {self.c!r}")
+        if not 0.0 < self.P <= _MAX_P:
+            raise InvalidPower(f"P must be in (0, {_MAX_P}], got {self.P!r}")
+        if not 0.0 <= self.c <= _MAX_C:
+            raise InvalidGain(f"c must be in [0, {_MAX_C}], got {self.c!r}")
         lo, hi = rho_range(self.M)
         if not (lo - FEASIBILITY_TOL <= self.rho <= hi + FEASIBILITY_TOL):
             raise InfeasibleRho(

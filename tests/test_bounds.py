@@ -1,7 +1,7 @@
 """Closed-form bounds: frozen example values, branch logic, optimization
 oracles, exact gap identities, monotonicity."""
 
-from math import log2, sqrt
+from math import isfinite, log2, sqrt
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from ccdp import (
     delta_conditional_variances,
     es_effective_gain,
 )
-from ccdp.bounds import _inner_raw_value
+from ccdp.bounds import _inner_raw_value, _plane
 
 P2 = lambda c2, rho=0.0: ChannelParams(2, 10.0, sqrt(c2), rho)
 P4 = lambda c2: ChannelParams(4, 10.0, sqrt(c2), 0.0)
@@ -211,6 +211,26 @@ def test_ccdp2_raw_variant_minimizer():
     v1 = ccdp2_outer(P2(1e4), RAW).value
     v2 = ccdp2_outer(P2(1e6), RAW).value
     assert v2 - v1 == pytest.approx(0.25 * log2(1e6 / 1e4), abs=0.01)
+
+
+@pytest.mark.parametrize("bound, params, variant", [
+    (ccdp2_outer, P2(4.0), APPENDIX_FORM),
+    (ccdp_m_outer, P4(4.0), APPENDIX_LOOSENED),
+    (ccdp_es_outer, P4(4.0), RAW),
+    (ccdp_es_outer, P2(4.0), "bogus"),
+])
+def test_variant_outside_the_family_raises_value_error(bound, params, variant):
+    with pytest.raises(ValueError, match=f"unknown variant '{variant}'"):
+        bound(params, variant)
+
+
+@pytest.mark.parametrize("bound, variant", [
+    ("ccdp2_outer", APPENDIX_FORM), ("ccdp_m_outer", APPENDIX_LOOSENED),
+    ("ccdp_es_outer", RAW), ("ccdp2_inner", APPENDIX_FORM),
+])
+def test_plane_rejects_a_variant_its_bound_lacks(bound, variant):
+    with pytest.raises(ValueError, match=f"unknown variant '{variant}'"):
+        _plane(bound, 2, np.array([[10.0]]), np.array([2.0]), 0.0, variant)
 
 
 def test_ccdp2_wrong_model():
@@ -575,3 +595,36 @@ def test_delta_variances_validation():
     from ccdp import InvalidM
     with pytest.raises(InvalidM):
         delta_conditional_variances(1, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The domain ceilings: every public bound is finite up to them.
+# ---------------------------------------------------------------------------
+
+CORNERS = [ChannelParams(M, P, c, rho)
+           for M in (2, 3, 2 ** 53) for P in (5e-324, 1e280)
+           for c in (0.0, 3e-162, 1e140) for rho in (-1.0 / (M - 1), 0.0, 1.0)]
+CALLS = [(baseline_outer_2, ()), (baseline_inner_2, ()), (baseline_outer_m, ()),
+         (ccdp2_inner, ()), (ccdp_m_inner, ()), (ccdp_es_inner, ()),
+         *((ccdp2_outer, (v,)) for v in (THEOREM, APPENDIX_LOOSENED, RAW)),
+         *((ccdp_m_outer, (v,)) for v in (THEOREM, APPENDIX_FORM)),
+         *((ccdp_es_outer, (v,)) for v in (THEOREM, APPENDIX_FORM)),
+         *((ccdp_m_inner_raw, (ab,)) for ab in (0.0, 0.5, 1.0))]
+
+
+@pytest.mark.parametrize("p", CORNERS, ids=repr)
+def test_every_public_bound_is_finite_at_the_domain_corners(p):
+    values = [awgn_capacity(p.P).value, alpha_star(p).alpha_bar, es_effective_gain(p)]
+    for bound, args in CALLS:
+        try:
+            values.append(bound(p, *args).value)
+        except WrongModel:
+            continue
+        except DomainError:  # log2(c2) at c = 0
+            assert p.c2 == 0.0 and bound in (ccdp2_outer, baseline_outer_m)
+    assert all(map(isfinite, values))
+    gap = ccdp_es_outer(p, APPENDIX_FORM).value - ccdp_es_inner(p).value
+    assert 0.0 <= gap <= 2.25 + 1e-9
+    if p.M == 2 and p.rho == 0.0:
+        gap = ccdp2_outer(p, APPENDIX_LOOSENED).value - ccdp2_inner(p).value
+        assert 0.0 <= gap <= 1.0 + 1e-9

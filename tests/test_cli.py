@@ -2,10 +2,13 @@
 
 import json
 import os
+from math import isfinite
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from ccdp import SweepGrid, run_sweep
+from ccdp import SweepGrid, errors, run_sweep
 from ccdp.cli import main
 from ccdp.gaps import rows_to_csv
 
@@ -90,6 +93,30 @@ def test_bounds_csv_row_equals_sweep_row(capsys, c2):
                                 outer_variant="theorem-statement"))
     assert (stated["value"], stated["branch"], stated["variant"]) == (
         sweep.row(0).outer, sweep.row(0).outer_branch, sweep.row(0).variant)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(M=st.integers() | st.sampled_from([2 ** 53, 2 ** 53 + 1, -10 ** 400]),
+       P=st.floats(), gain=st.floats(), rho=st.floats(), squared=st.booleans())
+@example(M=3, P=1.5e308, gain=1e308, rho=0.0, squared=True)
+@example(M=10 ** 400, P=10.0, gain=4.0, rho=0.0, squared=True)
+def test_bounds_gives_finite_values_or_a_documented_error(capsys, M, P, gain, rho,
+                                                           squared):
+    # any input: exit 2 naming a CcdpError, or finite values with inner <= outer
+    code, out, err = run(capsys, "bounds", f"--M={M}", f"--P={P!r}",
+                         f"--{'c2' if squared else 'c'}={gain!r}", f"--rho={rho!r}",
+                         "--format", "json")
+    if code == 2:
+        name = err.split(":", 1)[0]
+        assert issubclass(getattr(errors, name), errors.CcdpError) and not out
+        return
+    assert code == 0
+    results = json.loads(out)["results"]
+    inner, outer = results["inner"]["value"], results["outer_appendix"]["value"]
+    assert all(map(isfinite, (inner, outer, results["outer_theorem"]["value"],
+                              results["gap"])))
+    assert inner <= outer and results["gap"] <= 2.25 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +206,7 @@ def test_sweep_threads_flag_rejected(capsys):
 
 
 GRID = ("--P-points", "2", "--c2-points", "2")
+HUGE = ("--P-min", "1e307", "--P-max", "1.5e308", "--c2-min", "1e300", "--c2-max", "1e308")
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -209,6 +237,13 @@ GRID = ("--P-points", "2", "--c2-points", "2")
     (("certify", "--theorem", "Th4", "--rho-values", "5", *GRID), "WrongModel"),
     (("certify", "--theorem", "Th5", "--M-values", "3", *GRID), "WrongModel"),
     (("fig3", "--c-min", "0", "--points", "3"), "DomainError"),
+    (("certify", "--theorem", "Th5", "--rho-values", "5", *GRID), "InfeasibleRho"),
+    (("certify", "--theorem", "Th6", "--rho-values", "5", *GRID), "InfeasibleRho"),
+    (("bounds", "--M", "3", "--P", "1.5e308", "--c2", "1e308"), "InvalidPower"),
+    (("bounds", "--M", "1" + "0" * 400, "--P", "10", "--c2", "4"), "InvalidM"),
+    (("sweep", *HUGE, *GRID), "InvalidPower"),
+    (("audit", *HUGE, *GRID), "InvalidPower"),
+    (("sweep", "--c2-max", "1e300", *GRID), "InvalidGain"),
 ])
 def test_invalid_grid_input_exits_2(capsys, tmp_path, argv, error):
     out = tmp_path / "out"

@@ -36,11 +36,13 @@ from ccdp import (
     standard_grid,
     theorem_grid,
 )
+from ccdp.bounds import _plane
 from ccdp.gaps import (
     AUDIT_FAMILIES,
     CSV_COLUMNS,
     OPTIMIZED_FAMILIES,
     THEOREMS,
+    bound_pair,
     report_summary,
     rows_to_csv,
 )
@@ -224,13 +226,18 @@ BREAK_POINTS = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 11.0, 22.0, 44.0)
     p_values=st.lists(st.floats(1e-3, 1e5), min_size=1, max_size=3, unique=True),
     c2_values=st.lists(st.one_of(st.floats(0.0, 1e6), st.sampled_from(BREAK_POINTS)),
                        min_size=1, max_size=4, unique=True),
-    rho_values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3, unique=True),
+    data=st.data(),
 )
 def test_rows_equal_scalar_pair_on_random_grids(theorem, variant, m_values, p_values,
-                                                c2_values, rho_values):
+                                                c2_values, data):
     # every row equals the scalar pair exactly, values and labels alike
     if theorem in ("Th3", "Th5"):
         m_values = [2]
+    # every rho is feasible at the smallest M, so the grid has a point; a grid
+    # without one is test_certify_refuses_a_grid_without_a_feasible_point
+    lo = -1.0 / (min(m_values) - 1)
+    rho_values = data.draw(st.lists(st.floats(lo, 1.0), min_size=1, max_size=3,
+                                    unique=True))
     if theorem in ("Th3", "Th4"):
         rho_values = [0.0]
     grid = SweepGrid(tuple(m_values), tuple(p_values), tuple(c2_values),
@@ -241,6 +248,24 @@ def test_rows_equal_scalar_pair_on_random_grids(theorem, variant, m_values, p_va
         report = certify_theorem(theorem, grid, variant_kind=variant)
     assert len(report) == grid.size()
     _assert_rows_equal_direct_calls(report, theorem, variant)
+
+
+@pytest.mark.parametrize("theorem, m_values", [("Th5", (2,)), ("Th6", (3, 4))])
+def test_certify_refuses_a_grid_without_a_feasible_point(theorem, m_values):
+    grid = SweepGrid(m_values, (10.0,), (4.0,), (-1.5, 5.0))
+    assert grid.size() == 0
+    with pytest.raises(InfeasibleRho):
+        certify_theorem(theorem, grid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bound_pair(2, 0.0, APPENDIX_FORM, "Th7"),
+    lambda: theorem_grid("Th7"),
+    lambda: certify_theorem("Th7", small_grid()),
+])
+def test_unknown_theorem_raises_value_error(call):
+    with pytest.raises(ValueError, match="unknown theorem 'Th7', expected one of"):
+        call()
 
 
 def test_log2_plane_equals_math_log2():
@@ -299,9 +324,8 @@ def test_grid_commands_make_no_call_per_point(monkeypatch):
         certify_theorem(theorem, g)
     monotonicity_audit(grid, tuple(AUDIT_FAMILIES))
     assert bound_calls == []
-    # only the axis checks of the grid certify_theorem sets the variant on
-    assert len(params_calls) == sum(
-        len(g.m_values) + len(g.p_values) + len(g.c2_values) for g in grids)
+    # each grid was checked when it was built; certify_theorem checks no axis again
+    assert params_calls == []
 
 
 def test_th4_statement_at_two_receivers_is_the_general_form():
@@ -554,3 +578,42 @@ def test_audit_equals_scalar_reference(name):
     found = [astuple(v) for v in monotonicity_audit(grid, (name,))]
     assert found == _scalar_audit(grid, name)
     assert all(type(x) is float for v in found for x in v[2:])
+
+
+# ---------------------------------------------------------------------------
+# The domain ceilings reach the grid axes, and every plane is finite up to them.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("axes, error", [
+    (((2,), (np.nextafter(1e280, np.inf),), (4.0,)), InvalidPower),
+    (((2,), (10.0,), (1.001e280,)), InvalidGain),
+    (((2 ** 53 + 1,), (10.0,), (4.0,)), InvalidM),
+])
+def test_grid_axes_stop_at_the_domain_ceilings(axes, error):
+    with pytest.raises(error):
+        SweepGrid(*axes)
+
+
+def test_every_audit_family_is_finite_at_the_domain_corners():
+    P = np.array([5e-324, 1.0, 1e280])[:, None]
+    c = np.array([3e-162, 1.0, 2.0, 1e140])
+    for bound, variant in AUDIT_FAMILIES.values():
+        for M in (2, 3, 2 ** 53):
+            for rho in (-1.0 / (M - 1), 0.0, 1.0):
+                try:
+                    values, _ = _plane(bound, M, P, c, rho, variant)
+                except WrongModel:
+                    continue
+                assert np.isfinite(values).all(), (bound, variant, M, rho)
+
+
+@pytest.mark.parametrize("variant", ["appendix", "theorem-statement"])
+def test_sweep_at_the_domain_corners_is_finite(variant):
+    grid = SweepGrid((2, 3, 2 ** 53), (5e-324, 1e280), (0.0, 1e-320, 1e140 * 1e140),
+                     rho_points=3, outer_variant=variant)
+    report = run_sweep(grid)
+    assert len(report) == grid.size()
+    for name in ("inner", "outer", "gap"):
+        assert np.isfinite(report.columns[name]).all()
+    if variant == "appendix":
+        assert 0.0 <= report.columns["gap"].min() and report.max_gap <= 2.25 + 1e-9

@@ -55,10 +55,20 @@ def test_boundary_rho_accepted_singular():
     ((2, 10.0, -0.5, 0.0), InvalidGain),
     ((2, 10.0, 2.0, 1.5), InfeasibleRho),
     ((5, 10.0, 2.0, -0.3), InfeasibleRho),
+    ((2 ** 53 + 1, 10.0, 2.0, 0.0), InvalidM),
+    ((10 ** 400, 10.0, 2.0, 0.0), InvalidM),
+    ((2, np.nextafter(1e280, np.inf), 2.0, 0.0), InvalidPower),
+    ((2, 10.0, np.nextafter(1e140, np.inf), 0.0), InvalidGain),
 ])
 def test_rejections(args, exc):
     with pytest.raises(exc):
         ChannelParams(*args)
+
+
+def test_ceilings_accepted():
+    # the largest M, P and c: every bound stays finite up to them
+    p = ChannelParams(2 ** 53, 1e280, 1e140, 1.0)
+    assert (p.M, p.P, p.c, p.c2) == (2 ** 53, 1e280, 1e140, 1e140 * 1e140)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
