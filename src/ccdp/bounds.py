@@ -93,23 +93,24 @@ class _Table(dict):
 
 @dataclass(frozen=True, slots=True)
 class _Spec:
-    """A public bound: the model (M, rho) it applies to (None: any), its
-    breakpoints (t1, t2) at (M, P), its pieces by variant as a (general, at
-    M = 2) pair, and whether they take the cross term 1+P+c2+2c*sqrt(P)."""
+    """A public bound: the model (M, rho) it applies to (None: any) and, if a
+    plane evaluates it, its breakpoints (t1, t2) at (M, P) and its pieces."""
 
     M: int | None
     rho: float | None
-    breaks: object
-    pieces: _Table
-    cross: bool = False
+    breaks: object   # None where no plane evaluates it
+    pieces: dict     # a _Table of each variant's pieces
 
 
-def _require_model(M, rho, spec):
-    # The one applicability rule of a bound, for its scalar and plane forms.
+def _variants(bound, M, rho):
+    # A public bound's pieces by variant, or WrongModel where its model does
+    # not hold (M, rho): the one applicability rule of its scalar and plane forms.
+    spec = _SPECS[bound]
     if spec.M is not None and M != spec.M:
         raise WrongModel(f"bound requires M={spec.M}, got M={M}")
     if spec.rho is not None and rho != spec.rho:
         raise WrongModel(f"bound requires rho={spec.rho}, got rho={rho}")
+    return spec.pieces
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +165,6 @@ def _outer2_raw(M, P, c2, lg):
     return 0.5 * lg(P + c2 + 1.0) - 0.25 * lg(c2) + 0.5
 
 
-def _raw(M, P, c2, lg):
-    # The raw expression on all three branches: the one piece that can see c2 <= 0.
-    if np.any(c2 <= 0.0):
-        raise DomainError("raw outer bound needs c > 0")
-    return _outer2_raw(M, P, c2, lg)
-
-
 def _outer2_stated_middle(M, P, c2, lg):
     # The Th3 statement keeps -1/4*log2(c2+1) where the raw form has log2(c2).
     return 0.5 * lg(P + c2 + 1.0) - 0.25 * lg(c2 + 1.0) + 0.5
@@ -184,37 +178,50 @@ def _es_outer2_high(M, P, c2, lg):
     return _time_sharing(2, P, c2, lg) + 0.5
 
 
-def _baseline_outer2_low(M, P, c2, lg, s):
-    return 0.25 * lg((1.0 + P) / (c2 / 4.0 + 1.0)) + 0.25 * lg(s / (c2 / 4.0 + 1.0))
+def _cross(P, c2):
+    # 1+P+c2+2c*sqrt(P) at rho = 0.  np.sqrt(c2) is the gain c exactly where
+    # c*c is normal; where it is not, 2c*sqrt(P) is below half an ulp of 1+P.
+    return 1.0 + P + c2 + 2.0 * np.sqrt(c2) * np.sqrt(P)
 
 
-def _baseline_outer2_high(M, P, c2, lg, s):
-    return 0.25 * lg(1.0 + P) - 0.25 * lg(c2) + 0.25 * lg(s)
+def _baseline_outer2_low(M, P, c2, lg):
+    return 0.25 * lg((1.0 + P) / (c2 / 4.0 + 1.0)) \
+        + 0.25 * lg(_cross(P, c2) / (c2 / 4.0 + 1.0))
 
 
-# A bound's (label, piece) on c2 <= t1, t1 < c2 < t2 and c2 >= t2.  Inner
-# bounds switch at t1 = M-1 and t2 = P+1, outer bounds at t1 = M-1 and
+def _baseline_outer2_high(M, P, c2, lg):
+    return 0.25 * lg(1.0 + P) - 0.25 * lg(c2) + 0.25 * lg(_cross(P, c2))
+
+
+def _coded(*pieces):
+    # A bound's (label, fn, code) pieces, its branch codes computed once here.
+    return tuple((label, fn, BRANCHES.index(label)) for label, fn in pieces)
+
+
+# A bound's pieces on c2 <= t1, t1 < c2 < t2 and c2 >= t2.  Inner bounds
+# switch at t1 = M-1 and t2 = P+1, outer bounds at t1 = M-1 and
 # t2 = (M-1)(P+1); both are 1 and P+1 at M = 2.  The inner middle piece meets
 # the time-sharing rate at c2 = P+1 and falls below it beyond, so time sharing
 # takes over there: the rate stays achievable, monotone in c, and exactly 2
 # bpcu under the appendix-form outer bound on the middle branch.
-_INNER_2 = ((BR_LOW_2, _small_gain), (BR_MIDDLE, _inner_middle),
-            (BR_HIGH_2, _time_sharing))
-_INNER_M = ((BR_LOW_M, _small_gain), (BR_MIDDLE, _inner_middle),
-            (BR_TIME_SHARING, _time_sharing))
-_OUTER_2_STATED = ((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_stated_middle),
-                   (BR_HIGH_2, _outer2_high))
-_OUTER_2_LOOSENED = ((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_raw),
-                     (BR_HIGH_2, _outer2_high))
-_ES_OUTER_2 = ((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_raw),
-               (BR_HIGH_2, _es_outer2_high))
-_OUTER_M_THEOREM = ((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_theorem_middle),
-                    (BR_HIGH_M, _outer_theorem_high))
-_OUTER_M_APPENDIX = ((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_appendix_middle),
-                     (BR_HIGH_M, _outer_appendix_high))
-_RAW_2 = (("raw", _raw),) * 3
-# Two pieces, on c2 < 4 and c2 >= 4 (t1 = -inf, so the first slot is unused).
-_BASELINE_OUTER_2 = (("c2<4", _baseline_outer2_low),) * 2 + (("c2>=4", _baseline_outer2_high),)
+_INNER_2 = _coded((BR_LOW_2, _small_gain), (BR_MIDDLE, _inner_middle),
+                  (BR_HIGH_2, _time_sharing))
+_INNER_M = _coded((BR_LOW_M, _small_gain), (BR_MIDDLE, _inner_middle),
+                  (BR_TIME_SHARING, _time_sharing))
+_OUTER_2_STATED = _coded((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_stated_middle),
+                         (BR_HIGH_2, _outer2_high))
+_OUTER_2_LOOSENED = _coded((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_raw),
+                           (BR_HIGH_2, _outer2_high))
+_ES_OUTER_2 = _coded((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_raw),
+                     (BR_HIGH_2, _es_outer2_high))
+_OUTER_M_THEOREM = _coded((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_theorem_middle),
+                          (BR_HIGH_M, _outer_theorem_high))
+_OUTER_M_APPENDIX = _coded((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_appendix_middle),
+                           (BR_HIGH_M, _outer_appendix_high))
+_RAW_2 = _coded(*(("raw", _outer2_raw),) * 3)
+# Two pieces, on c2 < 4 and c2 >= 4 (t1 = -inf leaves the first slot unused).
+_BASELINE_OUTER_2 = _coded(*(("c2<4", _baseline_outer2_low),) * 2,
+                           ("c2>=4", _baseline_outer2_high))
 
 
 def _inner_breaks(M, P):
@@ -225,33 +232,25 @@ def _outer_breaks(M, P):
     return M - 1.0, (M - 1.0) * (P + 1.0)
 
 
-def _variants(pieces, at_two=None):
-    # A spec's variant table: the (label, fn, code) triples of each variant's
-    # pieces, and of the ones ``at_two`` gives it at M = 2 (the same by default).
-    def coded(p):
-        return tuple((label, fn, BRANCHES.index(label)) for label, fn in p)
-    return _Table("variant", {variant: (coded(p), coded((at_two or {}).get(variant, p)))
-                              for variant, p in pieces.items()})
-
-
-# The spec of each bound a plane evaluates.  Its public scalar function checks
-# the same model, takes the same pieces and writes the same breakpoints in its
-# branch rule; the plane tests compare the two with ==.
-_SPECS = {
-    "ccdp2_inner": _Spec(2, 0.0, _inner_breaks, _variants({THEOREM: _INNER_2})),
-    "ccdp2_outer": _Spec(2, 0.0, _outer_breaks, _variants({
-        THEOREM: _OUTER_2_STATED, APPENDIX_LOOSENED: _OUTER_2_LOOSENED, RAW: _RAW_2})),
-    "ccdp_m_inner": _Spec(None, 0.0, _inner_breaks, _variants({THEOREM: _INNER_M})),
-    "ccdp_m_outer": _Spec(None, 0.0, _outer_breaks, _variants({
-        THEOREM: _OUTER_M_THEOREM, APPENDIX_FORM: _OUTER_M_APPENDIX})),
-    "ccdp_es_inner": _Spec(None, None, _inner_breaks, _variants({THEOREM: _INNER_M})),
-    # The stated correlated-states outer has its own two-receiver form.
-    "ccdp_es_outer": _Spec(None, None, _outer_breaks, _variants(
-        {THEOREM: _OUTER_M_THEOREM, APPENDIX_FORM: _OUTER_M_APPENDIX},
-        at_two={THEOREM: _ES_OUTER_2})),
-    "baseline_outer_2": _Spec(2, 0.0, lambda M, P: (-inf, 4.0),
-                              _variants({THEOREM: _BASELINE_OUTER_2}), cross=True),
-}
+# One spec per public bound.  Its scalar function checks the model here and
+# takes the same pieces (an inner bound's one variant by its tuple's name),
+# with the same breakpoints written inline; the plane tests compare the two.
+_OUTER_M = {THEOREM: _OUTER_M_THEOREM, APPENDIX_FORM: _OUTER_M_APPENDIX}
+_SPECS = {name: _Spec(M, rho, breaks, _Table("variant", pieces))
+          for name, M, rho, breaks, pieces in (
+    ("ccdp2_inner", 2, 0.0, _inner_breaks, {THEOREM: _INNER_2}),
+    ("ccdp2_outer", 2, 0.0, _outer_breaks, {
+        THEOREM: _OUTER_2_STATED, APPENDIX_LOOSENED: _OUTER_2_LOOSENED, RAW: _RAW_2}),
+    ("ccdp_m_inner", None, 0.0, _inner_breaks, {THEOREM: _INNER_M}),
+    ("ccdp_m_outer", None, 0.0, _outer_breaks, _OUTER_M),
+    ("ccdp_es_inner", None, None, _inner_breaks, {THEOREM: _INNER_M}),
+    # At M = 2 the stated outer is _ES_OUTER_2 (ccdp_es_outer, _plane).
+    ("ccdp_es_outer", None, None, _outer_breaks, _OUTER_M),
+    ("baseline_outer_2", 2, 0.0, lambda M, P: (-inf, 4.0), {THEOREM: _BASELINE_OUTER_2}),
+    ("baseline_inner_2", 2, 0.0, None, {}),
+    ("baseline_outer_m", None, 0.0, None, {}),
+    ("ccdp_m_inner_raw", None, 0.0, None, {}),
+)}
 
 
 def awgn_capacity(P):
@@ -271,17 +270,15 @@ def baseline_outer_2(params):
     Kept as a baseline: it tends to 1/4*log2(1+P) for large gains, so it is
     weaker than the optimized bounds below except at small P.
     """
-    spec = _SPECS["baseline_outer_2"]
-    _require_model(params.M, params.rho, spec)
-    P, c, c2 = params.P, params.c, params.c2
-    s = 1.0 + P + c2 + 2.0 * c * sqrt(P)
-    label, fn, _ = spec.pieces[THEOREM][True][1 if c2 < 4.0 else 2]
-    return BoundResult(fn(2, P, c2, log2, s), label, THEOREM, params)
+    pieces = _variants("baseline_outer_2", params.M, params.rho)[THEOREM]
+    P, c2 = params.P, params.c2
+    label, fn, _ = pieces[1 if c2 < 4.0 else 2]
+    return BoundResult(fn(2, P, c2, log2), label, THEOREM, params)
 
 
 def baseline_inner_2(params):
     """Earlier two-receiver inner bound; branch points c2 = 2 and c2 = 2(P+1)."""
-    _require_model(params.M, params.rho, _SPECS["baseline_outer_2"])
+    _variants("baseline_inner_2", params.M, params.rho)
     P, c2 = params.P, params.c2
     if c2 <= 2.0:
         return BoundResult(0.5 * log2(1.0 + P / (c2 / 2.0 + 1.0)),
@@ -298,7 +295,7 @@ def baseline_outer_m(params):
     Single expression; the positive-part term activates at c2 = M(P+1).
     Requires c > 0 (the expression contains log2(c2)).
     """
-    _require_model(params.M, params.rho, _SPECS["ccdp_m_outer"])
+    _variants("baseline_outer_m", params.M, params.rho)
     M, P, c, c2 = params.M, params.P, params.c, params.c2
     if c2 <= 0.0:
         raise DomainError("baseline M-receiver outer bound needs c > 0")
@@ -323,10 +320,10 @@ def ccdp2_outer(params, variant=THEOREM):
     ``appendix-loosened`` uses -1/4*log2(c2), and ``raw-unoptimized`` is the
     middle expression alone, without clamping to the trivial/high branches.
     """
-    spec = _SPECS["ccdp2_outer"]
-    _require_model(params.M, params.rho, spec)
+    pieces = _variants("ccdp2_outer", params.M, params.rho)[variant]
     P, c2 = params.P, params.c2
-    pieces = spec.pieces[variant][True]
+    if c2 <= 0.0 and variant == RAW:
+        raise DomainError("raw outer bound needs c > 0")
     label, fn, _ = pieces[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
     return BoundResult(fn(2, P, c2, log2), label, variant, params)
 
@@ -336,9 +333,9 @@ def ccdp2_inner(params):
 
     Equals the maximum over the power split of ``ccdp_m_inner_raw`` at M=2.
     """
-    _require_model(params.M, params.rho, _SPECS["ccdp2_inner"])
+    _variants("ccdp2_inner", params.M, params.rho)
     P, c2 = params.P, params.c2
-    label, fn = _INNER_2[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
+    label, fn, _ = _INNER_2[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
     return BoundResult(fn(2, P, c2, log2), label, THEOREM, params)
 
 
@@ -364,7 +361,7 @@ def ccdp_m_inner_raw(params, alpha_bar):
     1/2*log2(1 + aP/(c2+abP+1)) + 1/(2M)*log2(1+abP), where the pre-coded
     layer carries alpha_bar of the power and is live 1/M of the time.
     """
-    _require_model(params.M, params.rho, _SPECS["ccdp_m_inner"])
+    _variants("ccdp_m_inner_raw", params.M, params.rho)
     if not 0.0 <= alpha_bar <= 1.0:
         raise InvalidSplit(f"alpha_bar must be in [0, 1], got {alpha_bar!r}")
     value = _inner_raw_value(params.M, params.P, params.c2, alpha_bar)
@@ -383,9 +380,9 @@ def _inner_raw_value(M, P, c2, alpha_bar):
 
 def ccdp_m_inner(params):
     """Optimized M-receiver inner bound; see ``_INNER_M`` for its branches."""
-    _require_model(params.M, params.rho, _SPECS["ccdp_m_inner"])
+    _variants("ccdp_m_inner", params.M, params.rho)
     M, P, c2 = params.M, params.P, params.c2
-    label, fn = _INNER_M[0 if c2 <= M - 1.0 else 1 if c2 < P + 1.0 else 2]
+    label, fn, _ = _INNER_M[0 if c2 <= M - 1.0 else 1 if c2 < P + 1.0 else 2]
     return BoundResult(fn(M, P, c2, log2), label, THEOREM, params)
 
 
@@ -397,10 +394,8 @@ def ccdp_m_outer(params, variant=THEOREM):
     and is the variant the gap certificates use.  Both share the small-gain
     branch 1/2*log2(1+P/(1+c2)) + 9/4.
     """
-    spec = _SPECS["ccdp_m_outer"]
-    _require_model(params.M, params.rho, spec)
+    pieces = _variants("ccdp_m_outer", params.M, params.rho)[variant]
     M, P, c2 = params.M, params.P, params.c2
-    pieces = spec.pieces[variant][M == 2]
     t1 = M - 1.0
     label, fn, _ = pieces[0 if c2 <= t1 else 1 if c2 < t1 * (P + 1.0) else 2]
     return BoundResult(fn(M, P, c2, log2), label, variant, params)
@@ -425,7 +420,7 @@ def ccdp_es_inner(params):
     """
     M, P = params.M, params.P
     ceff2 = params.c2 * params.rho_bar_plus
-    label, fn = _INNER_M[0 if ceff2 <= M - 1.0 else 1 if ceff2 < P + 1.0 else 2]
+    label, fn, _ = _INNER_M[0 if ceff2 <= M - 1.0 else 1 if ceff2 < P + 1.0 else 2]
     return BoundResult(fn(M, P, ceff2, log2), label, THEOREM, params)
 
 
@@ -438,7 +433,9 @@ def ccdp_es_outer(params, variant=THEOREM):
     appendix outer at the effective gain, used for certification.
     """
     M, P = params.M, params.P
-    pieces = _SPECS["ccdp_es_outer"].pieces[variant][M == 2]
+    pieces = _SPECS["ccdp_es_outer"].pieces[variant]
+    if M == 2 and variant == THEOREM:
+        pieces = _ES_OUTER_2
     ceff2 = params.c2 * params.rho_bar_plus
     t1 = M - 1.0
     label, fn, _ = pieces[0 if ceff2 <= t1 else 1 if ceff2 < t1 * (P + 1.0) else 2]
@@ -461,19 +458,19 @@ def _plane(bound, M, P, c, rho, variant=THEOREM):
     at the effective gain (c*c)(1-max(rho, 0)), which is the scalar c2 itself
     where the model fixes rho = 0.  Each piece sees only the elements of its
     own branch, so no expression is evaluated off its branch."""
-    spec = _SPECS[bound]
-    _require_model(M, rho, spec)
-    pieces = spec.pieces[variant][M == 2]
+    pieces = _variants(bound, M, rho)[variant]
+    if bound == "ccdp_es_outer" and M == 2 and variant == THEOREM:
+        pieces = _ES_OUTER_2
     c2 = (c * c) * (1.0 - max(rho, 0.0))
-    more = (1.0 + P + c2 + 2.0 * c * np.sqrt(P),) if spec.cross else ()
-    t1, t2, P, c2, *more = np.broadcast_arrays(*spec.breaks(M, P), P, c2, *more)
+    if variant == RAW and np.any(c2 <= 0.0):
+        raise DomainError("raw outer bound needs c > 0")
+    t1, t2, P, c2 = np.broadcast_arrays(*_SPECS[bound].breaks(M, P), P, c2)
     low = c2 <= t1
     high = ~low & (c2 >= t2)
     values, codes = np.empty(c2.shape), np.empty(c2.shape, np.int8)
     for mask, (_, fn, code) in zip((low, ~(low | high), high), pieces):
         if mask.any():
-            values[mask] = fn(M, P[mask], c2[mask], _log2_plane,
-                              *(a[mask] for a in more))
+            values[mask] = fn(M, P[mask], c2[mask], _log2_plane)
             codes[mask] = code
     return values, codes
 

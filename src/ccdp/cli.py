@@ -12,6 +12,7 @@ claimed gap, 2 on invalid input, 3 on an internal error.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -189,26 +190,25 @@ def _build_parser(command):
 # ---------------------------------------------------------------------------
 
 def _write(text, out):
+    # ``out`` is a path, "-" for stdout or a file open for writing.
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
-        # 1 MiB at a time: a 30 MB sweep CSV is never encoded as one more
-        # full-size copy, which fragments the C heap of a long-running caller.
+    elif isinstance(out, str):
+        # 1 MiB at a time: a long text, such as a 17 MB audit JSON, is never
+        # encoded as one more full-size copy.
         with open(out, "w", encoding="utf-8") as fh:
             for start in range(0, len(text), 1 << 20):
                 fh.write(text[start:start + (1 << 20)])
+    else:
+        out.write(text)
 
 
-def _release_heap():
-    # Return the C heap's free pages to the OS (glibc only).  A standard
-    # sweep frees some 75 MB of CSV text and columns inside the heap; whether
-    # those pages stay resident in a long-running caller otherwise depends on
-    # the heap's layout.
-    try:
-        import ctypes
-        ctypes.CDLL("libc.so.6").malloc_trim(0)
-    except (OSError, AttributeError):
-        pass
+def _write_csv(report, meta, out):
+    # A report's CSV, written as gaps._csv_pieces yields it: never held whole.
+    with (open(out, "w", encoding="utf-8") if out not in (None, "-")
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for piece in gaps._csv_pieces(report, meta):
+            _write(piece, fh)
 
 
 def _meta(command, resolved, with_seed=False):
@@ -303,7 +303,7 @@ def cmd_bounds(resolved):
         }
         _write(_envelope("bounds", resolved, results, max_gap=row.gap), resolved["out"])
     elif resolved["format"] == "csv":
-        _write(gaps.rows_to_csv(appendix, _meta("bounds", resolved)), resolved["out"])
+        _write_csv(appendix, _meta("bounds", resolved), resolved["out"])
     else:
         _write(
             f"inner {row.inner:.6f}\n"
@@ -325,8 +325,7 @@ def cmd_sweep(resolved):
                          max_gap=report.max_gap, warnings=report.warnings),
                resolved["out"])
     else:
-        _write(gaps.rows_to_csv(report, _meta("sweep", resolved)),
-               resolved["out"])
+        _write_csv(report, _meta("sweep", resolved), resolved["out"])
     print(f"sweep: maxGap={report.max_gap:.6f} at "
           f"{gaps.report_summary(report)['argmax']}", file=sys.stderr)
     return 0
@@ -345,11 +344,9 @@ def cmd_certify(resolved):
     grid = gaps.theorem_grid(theorem, _grid_from(resolved), keep)
     report = gaps.certify_theorem(theorem, grid, variant_kind=variant)
     if resolved["rows-out"]:
-        _write(gaps.rows_to_csv(report, _meta("certify", resolved)),
-               resolved["rows-out"])
+        _write_csv(report, _meta("certify", resolved), resolved["rows-out"])
     if resolved["format"] == "csv":
-        _write(gaps.rows_to_csv(report, _meta("certify", resolved)),
-               resolved["out"])
+        _write_csv(report, _meta("certify", resolved), resolved["out"])
     else:
         _write(_envelope("certify", resolved, gaps.report_summary(report),
                          max_gap=report.max_gap, certified=report.certified,
@@ -502,10 +499,7 @@ def main(argv=None):
         if ns.dump_config:
             with open(ns.dump_config, "w", encoding="utf-8") as fh:
                 fh.write(dump_config_text(command, resolved))
-        try:
-            return _HANDLERS[command](resolved)
-        finally:
-            _release_heap()
+        return _HANDLERS[command](resolved)
     except Exception as exc:  # CcdpError is a ValueError
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2 if isinstance(exc, (ValueError, OSError)) else 3

@@ -25,7 +25,7 @@ from .model import ChannelParams, rho_range
 
 GAP_TOL = 1e-9
 MONOTONE_TOL = 1e-9
-CSV_CHUNK = 1 << 15
+CSV_CHUNK = 1 << 12
 SMALL_P = 3.0
 SMALL_C2 = 3.0
 
@@ -395,12 +395,11 @@ def _strings(column, fmt):
     return np.array([fmt(v) for v in values.tolist()], object)[index].tolist()
 
 
-def rows_to_csv(report, meta=None):
-    """Render a report's rows as CSV text: optional '# key: value' metadata
-    lines, one header row, then one line per row in sweep order.  Rows are
-    rendered CSV_CHUNK at a time, which bounds the memory of their fields."""
-    lines = [f"# {k}: {v}" for k, v in (meta or {}).items()]
-    lines.append(",".join(CSV_COLUMNS))
+def _csv_pieces(report, meta=None):
+    # The text of rows_to_csv in pieces of at most CSV_CHUNK rows, so a writer
+    # holds one piece of text and its fields at a time, never the whole CSV.
+    yield "".join(f"# {k}: {v}\n" for k, v in (meta or {}).items())
+    yield ",".join(CSV_COLUMNS) + "\n"
     labels = np.array(bounds.BRANCHES, object)
     for start in range(0, len(report), CSV_CHUNK):
         chunk = {name: col[start:start + CSV_CHUNK]
@@ -412,9 +411,13 @@ def rows_to_csv(report, meta=None):
                     for name in ("inner", "outer", "gap")),
                   *(labels[chunk[name]].tolist()
                     for name in ("inner_branch", "outer_branch"))]
-        lines.append("\n".join(map(",".join, zip(*fields))))
-    lines.append("")  # the closing newline
-    return "\n".join(lines)
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
+def rows_to_csv(report, meta=None):
+    """Render a report's rows as CSV text: optional '# key: value' metadata
+    lines, one header row, then one line per row in sweep order."""
+    return "".join(_csv_pieces(report, meta))
 
 
 def grid_description(grid):

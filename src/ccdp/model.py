@@ -23,12 +23,9 @@ FEASIBILITY_TOL = 1e-12
 
 SAMPLE_BLOCK = 1 << 16  # rows per counter block
 
-# Ceilings of ChannelParams: with M <= 2**53, M - 1.0 is exact, and with
-# P <= 1e280 and c <= 1e140 every intermediate term of every bound, such as
-# M*(P+1) and 1+P+c2+2c*sqrt(P), stays finite.
-_MAX_M = 2 ** 53
-_MAX_P = 1e280
-_MAX_C = 1e140
+# Ceilings of ChannelParams on M, P and c: up to them M - 1.0 is exact and every
+# intermediate term of every bound, such as M*(P+1) and 1+P+c2+2c*sqrt(P), is finite.
+_MAX_M, _MAX_P, _MAX_C = 2 ** 53, 1e280, 1e140
 
 _U64 = (1 << 64) - 1
 

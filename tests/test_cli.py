@@ -2,15 +2,16 @@
 
 import json
 import os
-from math import isfinite
+from math import isfinite, log10
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ccdp import SweepGrid, errors, run_sweep
 from ccdp.cli import main
-from ccdp.gaps import rows_to_csv
+from ccdp.gaps import CSV_COLUMNS, rows_to_csv
 
 
 def run(capsys, *argv):
@@ -195,6 +196,22 @@ def test_sweep_csv_deterministic(capsys, tmp_path):
     assert run(capsys, *args, "--out", str(a))[0] == 0
     assert run(capsys, *args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_csv_written_in_pieces_is_the_whole_text(capsys, tmp_path, monkeypatch):
+    # the CSV reaches --out a few rows at a time, as the text rows_to_csv renders
+    monkeypatch.setattr("ccdp.gaps.CSV_CHUNK", 7)
+    c2_axis = tuple(np.logspace(log10(0.5), log10(50.0), 3))  # as the CLI spaces it
+    grid = SweepGrid((2, 3), (10.0, 100.0), c2_axis, rho_points=2)
+    out = tmp_path / "s.csv"
+    code, _, _ = run(capsys, "sweep", "--M-values", "2,3", "--P-min", "10",
+                     "--P-max", "100", "--P-points", "2", "--c2-min", "0.5",
+                     "--c2-max", "50", "--c2-points", "3", "--rho-points", "2",
+                     "--out", str(out))
+    assert code == 0
+    text = out.read_text()
+    body = text[text.index(",".join(CSV_COLUMNS)):]
+    assert body == rows_to_csv(run_sweep(grid)) and len(run_sweep(grid)) > 7
 
 
 def test_sweep_threads_flag_rejected(capsys):
