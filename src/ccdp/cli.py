@@ -251,7 +251,10 @@ def _log_axis(opts, name, axis):
     lo, hi = (gaps.AXIS_CHECKS[axis](opts[f"{name}-{end}"]) for end in ("min", "max"))
     if not (lo > 0.0 and hi > 0.0):
         raise CcdpError(f"--{name}-min and --{name}-max must be > 0 on a log axis")
-    return tuple(np.logspace(log10(lo), log10(hi), _count(opts, f"{name}-points")))
+    values = np.logspace(log10(lo), log10(hi), _count(opts, f"{name}-points"))
+    # The ends as given, not 10**log10(end); a single point is lo.
+    values[-1], values[0] = hi, lo
+    return tuple(values)
 
 
 def _count(opts, name):

@@ -387,12 +387,16 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
 
 # ---------------------------------------------------------------------------
 # Serialization (fixed schemas; floats use shortest round-trip formatting).
+# Every numeric CSV column is formatted once per distinct value in each piece
+# of CSV_CHUNK rows, keyed on the value's bits, so the text equals repr per row.
 # ---------------------------------------------------------------------------
 
 def _strings(column, fmt):
-    """fmt of every entry, computed once per distinct value."""
-    values, index = np.unique(column, return_inverse=True)
-    return np.array([fmt(v) for v in values.tolist()], object)[index].tolist()
+    """fmt of every entry, computed once per distinct 64-bit pattern: equal
+    bits format alike, and 0.0 and -0.0 (or two NaNs) never share a string."""
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    values = bits.view(column.dtype).tolist()
+    return np.array([fmt(v) for v in values], object)[index].tolist()
 
 
 def _csv_pieces(report, meta=None):
@@ -407,8 +411,7 @@ def _csv_pieces(report, meta=None):
         fields = [_strings(chunk["M"], str),
                   *(_strings(chunk[name], repr) for name in ("P", "c", "rho")),
                   chunk["variant"].tolist(),
-                  *(list(map(repr, chunk[name].tolist()))
-                    for name in ("inner", "outer", "gap")),
+                  *(_strings(chunk[name], repr) for name in ("inner", "outer", "gap")),
                   *(labels[chunk[name]].tolist()
                     for name in ("inner_branch", "outer_branch"))]
         yield "\n".join(map(",".join, zip(*fields))) + "\n"

@@ -15,7 +15,7 @@ without changing the result (partial sums are merged in block order).
 """
 
 from dataclasses import dataclass
-from math import isfinite, log, log2, sqrt
+from math import inf, isfinite, log, log2, nan, sqrt
 
 import numpy as np
 
@@ -132,9 +132,13 @@ def gp_rate_closed_form(layer_power, c2, lam):
     """
     q = layer_power
     num = q * (q + c2 + 1.0)
-    den = (q + lam * lam * c2) * (q + c2 + 1.0) - (q + lam * c2) ** 2
-    if not (den > 0.0 and num > 0.0):  # NaN (lam = nan or inf) fails too
-        raise DomainError("pre-coded rate undefined for these parameters")
+    try:
+        den = (q + lam * lam * c2) * (q + c2 + 1.0) - (q + lam * c2) ** 2
+    except OverflowError:  # the square is beyond the float range
+        den = nan
+    if not (den > 0.0 and 0.0 < num / den < inf):  # NaN (lam = nan or inf) fails too
+        raise DomainError("pre-coded rate undefined or beyond the float range "
+                          "for these parameters")
     return 0.5 * log2(num / den)
 
 
@@ -241,6 +245,11 @@ def _estimate_terms(system, names, terms, n, seed, threads=1):
     system; value and the combined delta-method stderr are returned.
     """
     cov = system.empirical_cov(names, n, seed, threads)
+    # A variance below the smallest normal float, as a subnormal P gives, has
+    # no finite inverse: the functional and its gradient would be NaN.
+    if not np.all(np.diag(cov) >= np.finfo(float).tiny):
+        raise DegenerateCovariance(
+            f"a variance of {names} is below the smallest normal float")
     idx = {name: i for i, name in enumerate(names)}
 
     def ix(group):
@@ -250,7 +259,12 @@ def _estimate_terms(system, names, terms, n, seed, threads=1):
     for w, a, b, cond in terms:
         value += w * gaussian_mi(cov, ix(a), ix(b), ix(cond))
         grad += w * mi_gradient(cov, ix(a), ix(b), ix(cond))
-    return value, delta_stderr(cov, grad, n)
+    se = delta_stderr(cov, grad, n)
+    # Near-singular blocks can leave a NaN, or a variance round-off made <= 0.
+    if not (isfinite(value) and 0.0 < se < inf):
+        raise DegenerateCovariance(f"covariance of {names} gives no finite "
+                                   f"estimate with a positive stderr")
+    return value, se
 
 
 def _degenerate_zero(n, closed=0.0):
@@ -288,8 +302,8 @@ def estimate_gp_rate(config, lam=None, receiver=1, threads=1):
     ab_power = ab * p.P
     if ab_power == 0.0:
         raise InvalidSplit("pre-coded layer has zero power (alpha_bar = 0)")
-    if lam is not None and not isfinite(lam):
-        raise DomainError(f"lam must be finite, got {lam!r}")
+    if lam is not None and not isfinite(lam * p.c):  # the auxiliary's state weight
+        raise DomainError(f"lam and lam*c must be finite, got lam={lam!r}")
     system = SchemeSystem(p, ab, lam=lam)
     closed = gp_rate_closed_form(ab_power, p.c2, system.lam)
     y, u, s = f"Y_{receiver}", f"U_{receiver}", f"S_{receiver}"
@@ -411,7 +425,7 @@ def gp_rate_lambda_profile(config, lambdas, receiver=1, threads=1):
 def verify_decomposition_stats(decomp, n, seed):
     """Max absolute deviation of the empirical state covariance from its target."""
     if n < 10_000:
-        raise ValueError(f"need n >= 10000, got {n}")
+        raise CcdpError(f"need n >= 10000, got {n}")
     W, _ = decomp.mixing_matrix()
     emp = W @ _second_moment(n, W.shape[1], seed) @ W.T
     target = state_covariance(decomp.M, decomp.rho).entries

@@ -201,8 +201,9 @@ def test_sweep_csv_deterministic(capsys, tmp_path):
 def test_sweep_csv_written_in_pieces_is_the_whole_text(capsys, tmp_path, monkeypatch):
     # the CSV reaches --out a few rows at a time, as the text rows_to_csv renders
     monkeypatch.setattr("ccdp.gaps.CSV_CHUNK", 7)
-    c2_axis = tuple(np.logspace(log10(0.5), log10(50.0), 3))  # as the CLI spaces it
-    grid = SweepGrid((2, 3), (10.0, 100.0), c2_axis, rho_points=2)
+    c2_axis = np.logspace(log10(0.5), log10(50.0), 3)  # as the CLI spaces it,
+    c2_axis[0], c2_axis[-1] = 0.5, 50.0                # with the ends as given
+    grid = SweepGrid((2, 3), (10.0, 100.0), tuple(c2_axis), rho_points=2)
     out = tmp_path / "s.csv"
     code, _, _ = run(capsys, "sweep", "--M-values", "2,3", "--P-min", "10",
                      "--P-max", "100", "--P-points", "2", "--c2-min", "0.5",
@@ -212,6 +213,22 @@ def test_sweep_csv_written_in_pieces_is_the_whole_text(capsys, tmp_path, monkeyp
     text = out.read_text()
     body = text[text.index(",".join(CSV_COLUMNS)):]
     assert body == rows_to_csv(run_sweep(grid)) and len(run_sweep(grid)) > 7
+
+
+@pytest.mark.parametrize("p_max, points", [
+    ("9.99e279", "3"), ("1e279", "3"), ("7e200", "2"), ("9.99e279", "1")])
+def test_log_axis_ends_are_the_given_ends(capsys, tmp_path, p_max, points):
+    # the ends themselves, not 10**log10(end); a single point is the lower end
+    out = tmp_path / "s.csv"
+    code, _, _ = run(capsys, "sweep", "--M-values", "2", "--rho-values", "0",
+                     "--P-max", p_max, "--P-points", points, "--c2-points", "2",
+                     "--out", str(out))
+    assert code == 0
+    lines = out.read_text().splitlines()
+    P = sorted({float(line.split(",")[1]) for line in lines[lines.index(
+        ",".join(CSV_COLUMNS)) + 1:]})
+    assert P[0] == 3.01 and len(P) == int(points)
+    assert P[-1] == (3.01 if points == "1" else float(p_max))
 
 
 def test_sweep_threads_flag_rejected(capsys):
@@ -247,6 +264,8 @@ HUGE = ("--P-min", "1e307", "--P-max", "1.5e308", "--c2-min", "1e300", "--c2-max
     (("fig3", "--c-min", "nan", "--points", "3"), "InvalidGain"),
     (("simulate", "--M", "2", "--c2", "4", "--samples", "0"), "CcdpError"),
     (("simulate", "--M", "2", "--c2", "4", "--target", "nope"), "CcdpError"),
+    (("simulate", "--target", "scheme", "--M", "3", "--P", "5e-324", "--c2", "4",
+      "--samples", "20000"), "DegenerateCovariance"),
     (("certify", "--theorem", "Th3", "--M-values", "3,4", "--rho-values", "0.5",
       *GRID), "WrongModel"),
     (("certify", "--theorem", "Th3", "--rho-values", "0.5", *GRID), "WrongModel"),
@@ -366,6 +385,48 @@ def test_simulate_non_finite_lam_exits_2(capsys, lam):
                          "--P", "10", "--c2", "4", "--alpha-bar", "0.3",
                          "--lam", lam)
     assert code == 2 and err.startswith("DomainError: ") and not out
+
+
+def _floats(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [v for item in doc for v in _floats(item)]
+    return [doc] if isinstance(doc, float) else []
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(M=st.integers(2, 4), P=st.floats(), c2=st.floats(), rho=st.floats(),
+       target=st.sampled_from(["san", "gp", "scheme", "decomposition"]),
+       alpha_bar=st.none() | st.floats(0.0, 1.0), lam=st.none() | st.floats())
+@example(M=3, P=5e-324, c2=4.0, rho=0.0, target="scheme", alpha_bar=None, lam=None)
+@example(M=2, P=6.703903964971296e153, c2=6.703903964971299e153, rho=0.0,
+         target="gp", alpha_bar=None, lam=None)
+@example(M=2, P=2.3531931915990564e16, c2=0.5, rho=0.0, target="scheme",
+         alpha_bar=0.5, lam=None)
+@example(M=2, P=1.0, c2=3.1852513365225147e205, rho=0.0, target="gp",
+         alpha_bar=None, lam=3.1852513365225147e205)
+@example(M=2, P=1.0, c2=0.0, rho=0.0, target="decomposition", alpha_bar=None,
+         lam=None)
+def test_simulate_gives_finite_values_or_a_documented_error(capsys, M, P, c2, rho,
+                                                            target, alpha_bar, lam):
+    # any input: exit 2 naming a CcdpError, or finite values, stderrs and z-scores
+    optional = {"alpha-bar": alpha_bar, "lam": lam}
+    code, out, err = run(capsys, "simulate", "--target", target, f"--M={M}",
+                         f"--P={P!r}", f"--c2={c2!r}", f"--rho={rho!r}",
+                         *(f"--{k}={v!r}" for k, v in optional.items() if v is not None),
+                         "--samples", "1000")
+    if code == 2:
+        name = err.split(":", 1)[0]
+        assert issubclass(getattr(errors, name), errors.CcdpError) and not out
+        return
+    assert code == 0
+    results = json.loads(out)["results"]
+    keys = (("combined_rate", "combined_stderr", "z_score") if target == "scheme"
+            else ("value", "stderr", "z_score"))
+    assert all(isfinite(results[k]) for k in keys)
+    assert all(map(isfinite, _floats(results)))
 
 
 def test_simulate_default_alpha_bar_is_optimal(capsys, tmp_path):

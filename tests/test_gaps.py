@@ -39,9 +39,11 @@ from ccdp import (
 from ccdp.bounds import _plane
 from ccdp.gaps import (
     AUDIT_FAMILIES,
+    CSV_CHUNK,
     CSV_COLUMNS,
     OPTIMIZED_FAMILIES,
     THEOREMS,
+    _strings,
     bound_pair,
     report_summary,
     rows_to_csv,
@@ -281,20 +283,48 @@ def test_report_rows_are_plain_python_scalars():
     assert all(type(r) is float for r in small_grid().rho_axis(3))
 
 
+def _csv_row_by_row(report):
+    lines = [",".join(CSV_COLUMNS)]
+    for i in range(len(report)):
+        r = report.row(i)
+        lines.append(",".join((str(r.M), repr(r.P), repr(r.c), repr(r.rho), r.variant,
+                               repr(r.inner), repr(r.outer), repr(r.gap),
+                               r.inner_branch, r.outer_branch)))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_csv_lines_equal_per_row_formatting(monkeypatch, chunk):
     if chunk:  # rows rendered a few at a time give the same text
         monkeypatch.setattr("ccdp.gaps.CSV_CHUNK", chunk)
     report = run_sweep(small_grid(rho_values=(-0.5, 0.0, 0.5)))
-    text = rows_to_csv(report)
-    assert text.endswith("\n") and not text.endswith("\n\n")
-    lines = text.splitlines()[1:]
-    assert len(lines) == len(report)
-    for i, line in enumerate(lines):
-        r = report.row(i)
-        assert line == ",".join((str(r.M), repr(r.P), repr(r.c), repr(r.rho),
-                                 r.variant, repr(r.inner), repr(r.outer),
-                                 repr(r.gap), r.inner_branch, r.outer_branch))
+    assert rows_to_csv(report) == _csv_row_by_row(report)
+
+
+def test_strings_formats_each_bit_pattern_as_repr():
+    # 0.0 and -0.0 compare equal but print apart; so do two NaN payloads
+    other_nan = np.array([0x7FF8000000000001]).view(float)[0]
+    col = np.array([0.0, -0.0, nan, inf, -inf, 5e-324, 1e308, -0.0, 0.0, 2.5,
+                    other_nan, 1e308, 2.5, -inf, 5e-324, -nan])
+    assert _strings(col, repr) == [repr(v) for v in col.tolist()]
+    assert _strings(col[1::-1], repr) == ["-0.0", "0.0"]
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    m_values=st.lists(st.integers(2, 4), min_size=1, max_size=2, unique=True),
+    p_values=st.lists(st.floats(1e-3, 1e5), min_size=33, max_size=36, unique=True),
+    c2_values=st.lists(st.floats(0.0, 1e6), min_size=32, max_size=34, unique=True),
+    rho_values=st.lists(st.floats(-1.0 / 3.0, 1.0).filter(bool), min_size=3, max_size=4,
+                        unique=True),
+)
+def test_csv_of_random_grids_equals_rows_formatted_one_by_one(m_values, p_values,
+                                                               c2_values, rho_values):
+    # several CSV pieces, every rho feasible for every M, and -0.0 among them
+    report = run_sweep(SweepGrid(tuple(m_values), tuple(p_values), tuple(c2_values),
+                                 (-0.0, *rho_values)))
+    assert len(report) > CSV_CHUNK
+    assert rows_to_csv(report) == _csv_row_by_row(report)
 
 
 def test_grid_commands_make_no_call_per_point(monkeypatch):
