@@ -54,7 +54,7 @@ BR_HIGH_M = "c2>=(M-1)(P+1)"
 BR_TIME_SHARING = "time-sharing"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundResult:
     """A rate value plus the piecewise branch and variant that produced it."""
 
@@ -62,6 +62,11 @@ class BoundResult:
     branch: str
     variant: str
     params: ChannelParams | None = None
+
+    def __init__(self, value, branch, variant, params=None):
+        # Fills the fields in one dict update, as ChannelParams does; the
+        # generated __init__ makes one object.__setattr__ call per field.
+        self.__dict__.update(value=value, branch=branch, variant=variant, params=params)
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,10 @@ def gp_rate_closed_form(layer_power, c2, lam):
     1/2*log2(1+Q/(1+c2)) at lam = 0 (no pre-coding), Q = layer_power.
     """
     q = layer_power
+    if c2 == 0.0 and isfinite(lam):
+        # The rate does not depend on lam here, but lam*lam*c2 is inf*0 = NaN
+        # from lam = 1.3e154 up; lam = 0 gives the bits of any smaller lam.
+        lam = 0.0
     num = q * (q + c2 + 1.0)
     try:
         den = (q + lam * lam * c2) * (q + c2 + 1.0) - (q + lam * c2) ** 2

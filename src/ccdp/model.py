@@ -40,13 +40,17 @@ def rho_range(M):
     return -1.0 / (M - 1), 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChannelParams:
     """One channel instance.
 
     Noise and state variances are fixed to 1, so the gain c is the only
     state-strength knob.  Construction validates every field; instances are
-    immutable and safe to share across workers.
+    immutable and safe to share across workers.  Two derived values, not
+    fields, are computed once here: ``c2 = c*c`` and the residual
+    state-variance fraction ``rho_bar_plus = 1 - max(rho, 0)`` left once the
+    common component is removed (positive correlation shrinks the effective
+    state, negative correlation gives no reduction).
     """
 
     M: int        # number of receivers, 2..2**53
@@ -54,33 +58,30 @@ class ChannelParams:
     c: float      # state gain (amplitude), in [0, 1e140]
     rho: float = 0.0  # pairwise state correlation
 
-    def __post_init__(self):
-        if not isinstance(self.M, (int, np.integer)) or isinstance(self.M, bool) \
-                or not 2 <= self.M <= _MAX_M:
-            raise InvalidM(f"M must be an integer in [2, 2**53], got {self.M!r}")
-        object.__setattr__(self, "M", int(self.M))
-        if not 0.0 < self.P <= _MAX_P:
-            raise InvalidPower(f"P must be in (0, {_MAX_P}], got {self.P!r}")
-        if not 0.0 <= self.c <= _MAX_C:
-            raise InvalidGain(f"c must be in [0, {_MAX_C}], got {self.c!r}")
-        lo, hi = rho_range(self.M)
-        if not (lo - FEASIBILITY_TOL <= self.rho <= hi + FEASIBILITY_TOL):
-            raise InfeasibleRho(
-                f"rho={self.rho!r} outside [{lo}, {hi}] for M={self.M}"
-            )
+    def __init__(self, M, P, c, rho=0.0):
+        # The generated __init__ would set each field through object.__setattr__;
+        # one dict update stores the fields and the derived values in one step.
+        if not isinstance(M, (int, np.integer)) or isinstance(M, bool) \
+                or not 2 <= M <= _MAX_M:
+            raise InvalidM(f"M must be an integer in [2, 2**53], got {M!r}")
+        M = int(M)
+        if not 0.0 < P <= _MAX_P:
+            raise InvalidPower(f"P must be in (0, {_MAX_P}], got {P!r}")
+        if not 0.0 <= c <= _MAX_C:
+            raise InvalidGain(f"c must be in [0, {_MAX_C}], got {c!r}")
+        lo = -1.0 / (M - 1)  # rho_range(M) without a call per point
+        if not (lo - FEASIBILITY_TOL <= rho <= 1.0 + FEASIBILITY_TOL):
+            raise InfeasibleRho(f"rho={rho!r} outside [{lo}, 1.0] for M={M}")
+        self.__dict__.update(M=M, P=P, c=c, rho=rho, c2=c * c,
+                             rho_bar_plus=1.0 - max(rho, 0.0))
 
-    @property
-    def c2(self):
-        return self.c * self.c
+    def __getstate__(self):
+        # A pickle holds the four fields alone, so pickles made before the
+        # derived values were stored load too; loading validates them again.
+        return {"M": self.M, "P": self.P, "c": self.c, "rho": self.rho}
 
-    @property
-    def rho_bar_plus(self):
-        """Residual state-variance fraction once the common component is removed.
-
-        Equals 1 - max(rho, 0): positive correlation shrinks the effective
-        state, negative correlation gives no reduction.
-        """
-        return 1.0 - max(self.rho, 0.0)
+    def __setstate__(self, state):
+        self.__init__(**state)
 
 
 @dataclass(frozen=True)

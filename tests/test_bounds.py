@@ -1,6 +1,10 @@
 """Closed-form bounds: frozen example values, branch logic, optimization
 oracles, exact gap identities, monotonicity."""
 
+import pickle
+import sys
+from collections import Counter
+from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
 from math import isfinite, log2, sqrt
 
 import numpy as np
@@ -14,6 +18,7 @@ from ccdp import (
     APPENDIX_LOOSENED,
     RAW,
     THEOREM,
+    BoundResult,
     ChannelParams,
     DomainError,
     InfeasibleRho,
@@ -38,6 +43,66 @@ from ccdp.bounds import _inner_raw_value, _plane
 
 P2 = lambda c2, rho=0.0: ChannelParams(2, 10.0, sqrt(c2), rho)
 P4 = lambda c2: ChannelParams(4, 10.0, sqrt(c2), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# BoundResult as a record, and the frames one scalar point enters.
+# ---------------------------------------------------------------------------
+
+def test_bound_result_is_a_frozen_record_of_four_fields():
+    p = ChannelParams(3, 10.0, 1.0, 0.25)
+    r = ccdp_es_inner(p)
+    assert [f.name for f in fields(r)] == ["value", "branch", "variant", "params"]
+    with pytest.raises(FrozenInstanceError):
+        r.value = 0.0
+    assert repr(r) == (f"BoundResult(value={r.value!r}, branch='c2<=M-1', "
+                       f"variant='theorem-statement', params={p!r})")
+    assert r == BoundResult(r.value, "c2<=M-1", THEOREM, p)
+    assert hash(r) == hash((r.value, "c2<=M-1", THEOREM, p))
+    assert astuple(r) == (r.value, "c2<=M-1", THEOREM, astuple(p))
+    assert asdict(r)["params"] == asdict(p)
+    assert pickle.loads(pickle.dumps(r)) == r
+    assert replace(r, branch="middle") == BoundResult(r.value, "middle", THEOREM, p)
+    assert awgn_capacity(3.0) == BoundResult(1.0, "n/a", "n/a")
+
+
+# M = 3, P = 10: the inner bound switches at c2 = 2 and 11, the appendix-form
+# outer bound at c2 = 2 and 22; the effective gain is c2*(1 - max(rho, 0)).
+BUDGET_POINTS = [(3, 10.0, 1.0, -0.5), (3, 10.0, 2.5, 0.2), (3, 10.0, 4.0, 0.0),
+                 (3, 10.0, 10.0, 0.0), (3, 10.0, 10.0, -0.0)]
+
+
+def test_scalar_point_builds_each_record_in_one_frame():
+    # ChannelParams plus the certification pair, one point per branch: no
+    # __post_init__, rho_range or property getter runs, and each record is
+    # built by one frame (whose self is the record) of the __init__ written in
+    # its module, not the generated one that sets each field by a call
+    entered, branches = [], set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.append((code.co_name, code.co_filename,
+                            type(frame.f_locals.get("self"))))
+
+    for M, P, c, rho in BUDGET_POINTS:
+        entered.clear()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            p = ChannelParams(M, P, c, rho)
+            pair = ccdp_es_inner(p), ccdp_es_outer(p, APPENDIX_FORM)
+        finally:
+            sys.setprofile(previous)
+        branches.add(tuple(r.branch for r in pair))
+        names = {name for name, _, _ in entered}
+        assert not names & {"__post_init__", "rho_range", "c2", "rho_bar_plus"}
+        built = Counter((cls.__name__, path == sys.modules[cls.__module__].__file__)
+                        for _, path, cls in entered
+                        if cls in (ChannelParams, BoundResult))
+        assert built == {("ChannelParams", True): 1, ("BoundResult", True): 2}
+    assert {inner for inner, _ in branches} == {"c2<=M-1", "middle", "time-sharing"}
+    assert {outer for _, outer in branches} == {"c2<=M-1", "middle", "c2>=(M-1)(P+1)"}
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,7 @@ def _floats(doc):
          alpha_bar=None, lam=3.1852513365225147e205)
 @example(M=2, P=1.0, c2=0.0, rho=0.0, target="decomposition", alpha_bar=None,
          lam=None)
+@example(M=2, P=10.0, c2=0.0, rho=0.0, target="gp", alpha_bar=0.3, lam=1e200)
 def test_simulate_gives_finite_values_or_a_documented_error(capsys, M, P, c2, rho,
                                                             target, alpha_bar, lam):
     # any input: exit 2 naming a CcdpError, or finite values, stderrs and z-scores

@@ -1,7 +1,7 @@
 """Monte Carlo estimators: functional correctness on analytic covariances,
 statistical agreement with closed forms, inflation-factor optimality."""
 
-from math import log2, sqrt
+from math import inf, log2, nan, sqrt
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from ccdp import (
     CcdpError,
     ChannelParams,
     DegenerateCovariance,
+    DomainError,
     InvalidSplit,
     SimulationConfig,
     decompose_states,
@@ -72,6 +73,19 @@ def test_gp_closed_form_special_points():
         0.5 * log2(1 + 3.0 / 5.0), abs=1e-12)
     assert gp_rate_closed_form(10.0, 0.0, 0.3) == pytest.approx(
         0.5 * log2(11.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [3.0, 7e-3, 1e6])
+def test_gp_closed_form_at_zero_gain_takes_any_finite_lam(q):
+    # with no state the rate does not depend on lam: every finite lam gives the
+    # bits of lam = 0, also past lam = 1.3e154, where lam*lam*c2 was inf*0 = NaN
+    rate = gp_rate_closed_form(q, 0.0, 0.0)
+    assert rate == pytest.approx(0.5 * log2(1.0 + q), rel=1e-12)
+    for lam in (0.3, -2.0, 1e100, 1.3e154, 1e200, -1e300, 1.7976931348623157e308):
+        assert gp_rate_closed_form(q, 0.0, lam).hex() == rate.hex()
+    for lam in (inf, -inf, nan):
+        with pytest.raises(DomainError):
+            gp_rate_closed_form(q, 0.0, lam)
 
 
 def test_degenerate_covariance_raises():

@@ -1,6 +1,9 @@
 """Core model: parameter validation, covariance structure, decompositions,
 seeded sampling."""
 
+import pickle
+from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -84,6 +87,89 @@ def test_non_finite_fields_rejected(field, exc, value):
 def test_rho_bar_plus():
     assert ChannelParams(2, 1.0, 1.0, 0.75).rho_bar_plus == 0.25
     assert ChannelParams(2, 1.0, 1.0, -0.5).rho_bar_plus == 1.0
+
+
+@pytest.mark.parametrize("args,exc,message", [
+    ((1, 10.0, 2.0), InvalidM, "M must be an integer in [2, 2**53], got 1"),
+    ((True, 10.0, 2.0), InvalidM, "M must be an integer in [2, 2**53], got True"),
+    ((2.0, 10.0, 2.0), InvalidM, "M must be an integer in [2, 2**53], got 2.0"),
+    ((2, 0.0, 2.0), InvalidPower, "P must be in (0, 1e+280], got 0.0"),
+    ((2, 10.0, -0.5), InvalidGain, "c must be in [0, 1e+140], got -0.5"),
+    ((3, 10.0, 2.0, 5.0), InfeasibleRho, "rho=5.0 outside [-0.5, 1.0] for M=3"),
+    ((np.int64(4), 10.0, 2.0, -0.5), InfeasibleRho,
+     "rho=-0.5 outside [-0.3333333333333333, 1.0] for M=4"),
+])
+def test_rejection_messages(args, exc, message):
+    with pytest.raises(exc) as info:
+        ChannelParams(*args)
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# ChannelParams as a record: a frozen dataclass of the fields M, P, c, rho;
+# c2 and rho_bar_plus are attributes computed at construction, not fields.
+# ---------------------------------------------------------------------------
+
+def test_params_attributes_are_frozen():
+    p = ChannelParams(3, 10.0, 2.0, 0.25)
+    for name in ("M", "P", "c", "rho", "c2", "rho_bar_plus"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(p, name)
+    assert (p.c2, p.rho_bar_plus) == (4.0, 0.75)
+
+
+def test_replace_validates_and_recomputes_the_derived_values():
+    p = ChannelParams(3, 10.0, 2.0, 0.25)
+    with pytest.raises(InfeasibleRho,
+                       match=r"^rho=5\.0 outside \[-0\.5, 1\.0\] for M=3$"):
+        replace(p, rho=5.0)
+    q = replace(p, c=3.0)
+    assert q == ChannelParams(3, 10.0, 3.0, 0.25) and q.c2 == 9.0
+    assert replace(p, rho=-0.5).rho_bar_plus == 1.0
+
+
+def test_record_protocols_see_the_four_fields_only():
+    p = ChannelParams(np.int64(3), 10.0, 2.0, 0.25)
+    assert type(p.M) is int
+    assert [f.name for f in fields(p)] == ["M", "P", "c", "rho"]
+    assert repr(p) == "ChannelParams(M=3, P=10.0, c=2.0, rho=0.25)"
+    assert asdict(p) == {"M": 3, "P": 10.0, "c": 2.0, "rho": 0.25}
+    assert astuple(p) == (3, 10.0, 2.0, 0.25)
+    assert p == ChannelParams(3, 10.0, 2.0, 0.25) != ChannelParams(3, 10.0, 2.0, 0.5)
+    assert hash(p) == hash((3, 10.0, 2.0, 0.25))
+    assert ChannelParams(2, 1.0, 1.0) == ChannelParams(2, 1.0, 1.0, 0.0)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and repr(q) == repr(p) and hash(q) == hash(p)
+    assert (q.c2, q.rho_bar_plus) == (p.c2, p.rho_bar_plus)
+
+
+# pickle.dumps(ChannelParams(3, 10.0, 2.0, 0.25), protocol=4) while c2 and
+# rho_bar_plus were properties: the state holds the four fields only
+FIELDS_ONLY_PICKLE = (
+    b"\x80\x04\x95W\x00\x00\x00\x00\x00\x00\x00\x8c\nccdp.model\x94\x8c\rChannelParams"
+    b"\x94\x93\x94)\x81\x94}\x94(\x8c\x01M\x94K\x03\x8c\x01P\x94G@$\x00\x00\x00\x00\x00"
+    b"\x00\x8c\x01c\x94G@\x00\x00\x00\x00\x00\x00\x00\x8c\x03rho\x94G?\xd0\x00\x00\x00"
+    b"\x00\x00\x00ub.")
+
+
+def test_pickles_hold_the_fields_and_load_with_the_derived_values():
+    p = ChannelParams(3, 10.0, 2.0, 0.25)
+    assert pickle.dumps(p, protocol=4) == FIELDS_ONLY_PICKLE
+    q = pickle.loads(FIELDS_ONLY_PICKLE)
+    assert q == p and (q.c2, q.rho_bar_plus) == (4.0, 0.75)
+    bad = FIELDS_ONLY_PICKLE.replace(b"G?\xd0", b"G@\x14")  # rho = 0.25 -> 5.0
+    with pytest.raises(InfeasibleRho, match=r"^rho=5\.0 outside"):
+        pickle.loads(bad)
+
+
+@pytest.mark.parametrize("rho", [-0.0, -0.5, 0.3, 1.0])
+def test_derived_values_are_their_expressions_bit_for_bit(rho):
+    for c in (0.0, 3e-162, 0.1, 2.0, 1e140):
+        p = ChannelParams(3, 10.0, c, rho)
+        assert p.c2.hex() == (c * c).hex()
+        assert p.rho_bar_plus.hex() == (1.0 - max(rho, 0.0)).hex()
 
 
 # ---------------------------------------------------------------------------
