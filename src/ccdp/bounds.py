@@ -36,7 +36,7 @@ from .errors import (
     InvalidSplit,
     WrongModel,
 )
-from .model import ChannelParams, rho_range
+from .model import _MAX_P, FEASIBILITY_TOL, ChannelParams, rho_range
 
 # Variant tokens (fixed API strings, also accepted by the CLI).
 THEOREM = "theorem-statement"
@@ -260,8 +260,8 @@ _SPECS = {name: _Spec(M, rho, breaks, _Table("variant", pieces))
 
 def awgn_capacity(P):
     """State-free benchmark 1/2*log2(1+P): what full pre-cancellation attains."""
-    if not P > 0:
-        raise InvalidPower(f"P must be > 0, got {P!r}")
+    if not 0.0 < P <= _MAX_P:  # the check of ChannelParams
+        raise InvalidPower(f"P must be in (0, {_MAX_P}], got {P!r}")
     return BoundResult(_awgn(None, P, None, log2), BR_NA, BR_NA)
 
 
@@ -494,7 +494,7 @@ def delta_conditional_variances(M, rho):
     if not isinstance(M, (int, np.integer)) or M < 2:
         raise InvalidM(f"M must be an integer >= 2, got {M!r}")
     lo, hi = rho_range(M)
-    if not (lo - 1e-12 <= rho <= hi + 1e-12):
+    if not (lo - FEASIBILITY_TOL <= rho <= hi + FEASIBILITY_TOL):
         raise InfeasibleRho(f"rho={rho!r} outside [{lo}, {hi}] for M={M}")
     k = np.arange(1, M)
     return (1.0 - rho) * (k + 1.0) / k

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds
 from .errors import CcdpError, InfeasibleRho, WrongModel
-from .model import ChannelParams, rho_range
+from .model import FEASIBILITY_TOL, ChannelParams, rho_range
 
 GAP_TOL = 1e-9
 MONOTONE_TOL = 1e-9
@@ -120,7 +120,8 @@ class SweepGrid:
         lo, hi = rho_range(M)
         if self.rho_values is None:
             return tuple(np.linspace(lo, hi, self.rho_points).tolist())
-        return tuple(r for r in self.rho_values if lo - 1e-12 <= r <= hi + 1e-12)
+        return tuple(r for r in self.rho_values
+                     if lo - FEASIBILITY_TOL <= r <= hi + FEASIBILITY_TOL)
 
     def size(self):
         per_m = sum(len(self.rho_axis(M)) for M in self.m_values)

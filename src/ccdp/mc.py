@@ -22,7 +22,6 @@ import numpy as np
 from .bounds import _inner_raw_value, _san_rate
 from .errors import CcdpError, DegenerateCovariance, DomainError, InvalidSplit
 from .model import (
-    NEGATIVE_PAIRWISE,
     SAMPLE_BLOCK,
     ChannelParams,
     block_generator,
@@ -137,7 +136,8 @@ def gp_rate_closed_form(layer_power, c2, lam):
         lam = 0.0
     num = q * (q + c2 + 1.0)
     try:
-        den = (q + lam * lam * c2) * (q + c2 + 1.0) - (q + lam * c2) ** 2
+        # (q + lam^2*c2)*(q + c2 + 1) - (q + lam*c2)^2, expanded: no cancellation
+        den = q * (1.0 + c2 * (1.0 - lam) ** 2) + lam * lam * c2
     except OverflowError:  # the square is beyond the float range
         den = nan
     if not (den > 0.0 and 0.0 < num / den < inf):  # NaN (lam = nan or inf) fails too
@@ -189,8 +189,7 @@ class SchemeSystem:
         self.params = params
         self.alpha_bar = float(alpha_bar)
         M, P, c, rho = params.M, params.P, params.c, params.rho
-        decomp = decompose_states(params)
-        W, _ = decomp.mixing_matrix()
+        W, _ = decompose_states(params).mixing_matrix()
         K = W.shape[1]
         self.dim = 2 + K + M
 
@@ -214,7 +213,7 @@ class SchemeSystem:
         self.lam = lam
         for m in range(M):
             rows[f"U_{m + 1}"] = x_pas + lam * c * rows[f"S_{m + 1}"]
-        if decomp.kind != NEGATIVE_PAIRWISE and rho > 0:
+        if rho > 0:  # the decomposition has a common latent
             s_c = row(); s_c[2] = 1.0  # common latent is first in both kinds
             rows["S_c"] = s_c
             noise = ab_power + (1.0 - rho) * params.c2 + 1.0
@@ -222,6 +221,12 @@ class SchemeSystem:
             rows["U_san"] = x_san + self.lam_common * (c * sqrt(rho)) * s_c
         self.rows = rows
         self._moment_cache = {}
+
+    def receiver(self, m):
+        """Names of receiver m's output, auxiliary and state rows."""
+        if f"Y_{m}" not in self.rows:
+            raise CcdpError(f"receiver must be in 1..{self.params.M}, got {m!r}")
+        return f"Y_{m}", f"U_{m}", f"S_{m}"
 
     def transform(self, names):
         return np.stack([self.rows[n] for n in names])
@@ -242,12 +247,16 @@ class SchemeSystem:
         return A @ self.basis_second_moment(n, seed, threads) @ A.T
 
 
-def _estimate_terms(system, names, terms, n, seed, threads=1):
-    """Estimate a weighted sum of conditional MIs over one covariance.
+def _estimate_sums(system, names, sums, n, seed, threads=1):
+    """Weighted sums of conditional MIs over one covariance of the named rows.
 
-    terms is a list of (weight, a, b, cond) with entries naming rows of the
-    system; value and the combined delta-method stderr are returned.
+    Each sum lists (weight, a, b, cond) terms naming rows of the system and
+    comes back as (value, delta-method stderr); each distinct term is
+    evaluated once.  An empty sum is a layer with zero power: exactly zero
+    rate, with stderr 1/n so that its z-score stays defined.
     """
+    if not names:  # no layer has power
+        return [(0.0, 1.0 / n)] * len(sums)
     cov = system.empirical_cov(names, n, seed, threads)
     # A variance below the smallest normal float, as a subnormal P gives, has
     # no finite inverse: the functional and its gradient would be NaN.
@@ -255,26 +264,24 @@ def _estimate_terms(system, names, terms, n, seed, threads=1):
         raise DegenerateCovariance(
             f"a variance of {names} is below the smallest normal float")
     idx = {name: i for i, name in enumerate(names)}
-
-    def ix(group):
-        return [idx[g] for g in group]
-
-    value, grad = 0.0, np.zeros_like(cov)
-    for w, a, b, cond in terms:
-        value += w * gaussian_mi(cov, ix(a), ix(b), ix(cond))
-        grad += w * mi_gradient(cov, ix(a), ix(b), ix(cond))
-    se = delta_stderr(cov, grad, n)
-    # Near-singular blocks can leave a NaN, or a variance round-off made <= 0.
-    if not (isfinite(value) and 0.0 < se < inf):
-        raise DegenerateCovariance(f"covariance of {names} gives no finite "
-                                   f"estimate with a positive stderr")
-    return value, se
-
-
-def _degenerate_zero(n, closed=0.0):
-    # A layer with zero power carries exactly zero rate; keep stderr positive
-    # so the z-score stays defined.
-    return MIEstimate(0.0, 1.0 / n, n, closed)
+    evaluated, results = {}, []
+    for terms in sums:
+        value, grad = 0.0, np.zeros_like(cov)
+        for w, a, b, cond in terms:
+            key = (tuple(a), tuple(b), tuple(cond))
+            if key not in evaluated:
+                ix = [[idx[g] for g in group] for group in (a, b, cond)]
+                evaluated[key] = gaussian_mi(cov, *ix), mi_gradient(cov, *ix)
+            mi, g = evaluated[key]
+            value += w * mi
+            grad += w * g
+        se = delta_stderr(cov, grad, n) if terms else 1.0 / n
+        # Near-singular blocks can leave a NaN, or a variance round-off made <= 0.
+        if not (isfinite(value) and 0.0 < se < inf):
+            raise DegenerateCovariance(f"covariance of {names} gives no finite "
+                                       f"estimate with a positive stderr")
+        results.append((value, se))
+    return results
 
 
 def estimate_san_rate(config, threads=1):
@@ -285,12 +292,10 @@ def estimate_san_rate(config, threads=1):
     p, ab = config.params, config.alpha_bar
     a_power = (1.0 - ab) * p.P
     closed = _san_rate(p.P, p.c2, ab)
-    if a_power == 0.0:
-        return _degenerate_zero(config.samples, closed)
-    system = SchemeSystem(p, ab)
-    value, se = _estimate_terms(
-        system, ["X_san", "Y_1"],
-        [(1.0, ["X_san"], ["Y_1"], [])],
+    if a_power == 0.0:  # the zero-power rule of _estimate_sums, with no draw
+        return MIEstimate(0.0, 1.0 / config.samples, config.samples, closed)
+    [(value, se)] = _estimate_sums(
+        SchemeSystem(p, ab), ["X_san", "Y_1"], [[(1.0, ["X_san"], ["Y_1"], [])]],
         config.samples, config.seed, threads)
     return MIEstimate(value, se, config.samples, closed)
 
@@ -310,12 +315,10 @@ def estimate_gp_rate(config, lam=None, receiver=1, threads=1):
         raise DomainError(f"lam and lam*c must be finite, got lam={lam!r}")
     system = SchemeSystem(p, ab, lam=lam)
     closed = gp_rate_closed_form(ab_power, p.c2, system.lam)
-    y, u, s = f"Y_{receiver}", f"U_{receiver}", f"S_{receiver}"
+    y, u, s = system.receiver(receiver)
     cond = ["X_san"] if ab < 1.0 else []  # zero-power layer cannot be conditioned on
-    names = [y, u, s] + cond
-    value, se = _estimate_terms(
-        system, names,
-        [(1.0, [y], [u], cond), (-1.0, [u], [s], [])],
+    [(value, se)] = _estimate_sums(
+        system, [y, u, s] + cond, [[(1.0, [y], [u], cond), (-1.0, [u], [s], [])]],
         config.samples, config.seed, threads)
     return MIEstimate(value, se, config.samples, closed)
 
@@ -359,32 +362,20 @@ def verify_scheme_rate(config, threads=1):
     per_receiver = []
     combined = []
     for m in range(1, M + 1):
-        y, u, s = f"Y_{m}", f"U_{m}", f"S_{m}"
-        terms_san = []
-        if a_power > 0:
-            if precode_common:
-                terms_san = [(1.0, [y], ["U_san"], []), (-1.0, ["U_san"], ["S_c"], [])]
-            else:
-                terms_san = [(1.0, ["X_san"], [y], [])]
-        terms_gp = []
-        if ab_power > 0:
-            cond = ["X_san"] if a_power > 0 else []
-            terms_gp = [(1.0, [y], [u], cond), (-1.0, [u], [s], [])]
+        y, u, s = system.receiver(m)
+        terms_san = [] if a_power == 0 else (
+            [(1.0, [y], ["U_san"], []), (-1.0, ["U_san"], ["S_c"], [])] if precode_common
+            else [(1.0, ["X_san"], [y], [])])
+        cond = ["X_san"] if a_power > 0 else []
+        terms_gp = [(1.0, [y], [u], cond), (-1.0, [u], [s], [])] if ab_power > 0 else []
 
         names = sorted({nm for t in terms_san + terms_gp for grp in t[1:] for nm in grp})
-        # P > 0, so at least one layer has power and names is never empty.
         scaled = terms_san + [(w / M, a, b, c) for (w, a, b, c) in terms_gp]
-        total, total_se = _estimate_terms(system, names, scaled, n, seed, threads)
-        san_value, san_se = (_estimate_terms(system, names, terms_san, n, seed, threads)
-                             if terms_san else (0.0, 1.0 / n))
-        gp_value, gp_se = (_estimate_terms(system, names, terms_gp, n, seed, threads)
-                           if terms_gp else (0.0, 1.0 / n))
-
-        san_est = MIEstimate(san_value, san_se, n, san_closed) if terms_san \
-            else _degenerate_zero(n)
-        gp_est = MIEstimate(gp_value, gp_se, n, gp_closed) if terms_gp else None
-        per_receiver.append((san_est, gp_est))
-        combined.append((total, total_se))
+        total, san, gp = _estimate_sums(system, names, [scaled, terms_san, terms_gp],
+                                        n, seed, threads)
+        per_receiver.append((MIEstimate(*san, n, san_closed),
+                             MIEstimate(*gp, n, gp_closed) if terms_gp else None))
+        combined.append(total)
 
     best = min(range(M), key=lambda i: combined[i][0])
     return SchemeRateReport(
@@ -406,22 +397,19 @@ def gp_rate_lambda_profile(config, lambdas, receiver=1, threads=1):
     p, ab = config.params, config.alpha_bar
     if ab * p.P == 0.0:
         raise InvalidSplit("pre-coded layer has zero power (alpha_bar = 0)")
+    for lam in lambdas:
+        if not isfinite(lam * p.c):  # the auxiliary's state weight
+            raise DomainError(f"lam and lam*c must be finite, got lam={lam!r}")
     system = SchemeSystem(p, ab)
-    y, s = f"Y_{receiver}", f"S_{receiver}"
+    y, _, s = system.receiver(receiver)
     base_names = [y, "X_pas", s, "X_san"]
     base = system.empirical_cov(base_names, config.samples, config.seed, threads)
-    cond_on_san = (1.0 - ab) * p.P > 0
+    cond = [3] if (1.0 - ab) * p.P > 0 else []
     values = []
     for lam in lambdas:
-        # quantity order: Y, U(lam), S, X_san
-        A = np.array([
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, lam * p.c, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ])
+        A = np.eye(4)  # quantity order: Y, U(lam), S, X_san
+        A[1, 2] = lam * p.c
         cov = A @ base @ A.T
-        cond = [3] if cond_on_san else []
         values.append(gaussian_mi(cov, [0], [1], cond) - gaussian_mi(cov, [1], [2]))
     return np.asarray(values)
 

@@ -410,6 +410,8 @@ def _floats(doc):
 @example(M=2, P=1.0, c2=0.0, rho=0.0, target="decomposition", alpha_bar=None,
          lam=None)
 @example(M=2, P=10.0, c2=0.0, rho=0.0, target="gp", alpha_bar=0.3, lam=1e200)
+@example(M=2, P=1e20, c2=0.0, rho=0.0, target="gp", alpha_bar=1.0, lam=None)
+@example(M=2, P=5e-324, c2=4.0, rho=0.0, target="scheme", alpha_bar=0.5, lam=None)
 def test_simulate_gives_finite_values_or_a_documented_error(capsys, M, P, c2, rho,
                                                             target, alpha_bar, lam):
     # any input: exit 2 naming a CcdpError, or finite values, stderrs and z-scores

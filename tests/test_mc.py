@@ -23,6 +23,7 @@ from ccdp import (
     verify_decomposition_stats,
     verify_scheme_rate,
 )
+from ccdp import mc
 from ccdp.mc import SchemeSystem, delta_stderr, mi_gradient
 
 
@@ -88,6 +89,15 @@ def test_gp_closed_form_at_zero_gain_takes_any_finite_lam(q):
             gp_rate_closed_form(q, 0.0, lam)
 
 
+@pytest.mark.parametrize("c2", [0.0, 4.0])
+@pytest.mark.parametrize("q", [1e12, 1e15, 1e17, 1e20])
+def test_gp_closed_form_at_large_power_is_the_awgn_rate(q, c2):
+    # at the MMSE lam the rate is 1/2*log2(1+q) for any gain; the factored
+    # denominator cancelled here, and from q = 1e16 rounded to 0
+    assert gp_rate_closed_form(q, c2, q / (q + 1.0)) == pytest.approx(
+        0.5 * log2(1.0 + q), rel=1e-15)
+
+
 def test_degenerate_covariance_raises():
     cov = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(DegenerateCovariance):
@@ -133,6 +143,12 @@ def test_gp_estimate_partial_power():
 def test_gp_estimate_rejects_zero_power():
     with pytest.raises(InvalidSplit):
         estimate_gp_rate(config(ab=0.0))
+
+
+@pytest.mark.parametrize("receiver", [0, 3, -1, 1.0])
+def test_gp_estimate_rejects_a_receiver_outside_1_to_M(receiver):
+    with pytest.raises(CcdpError, match="receiver must be in 1..2"):
+        estimate_gp_rate(config(ab=0.3, n=1000), receiver=receiver)
 
 
 def test_gp_without_inflation_loses_rate():
@@ -190,6 +206,9 @@ def test_threads_do_not_change_estimate():
     a = estimate_san_rate(config(seed=11), threads=1)
     b = estimate_san_rate(config(seed=11), threads=4)
     assert a.value == b.value
+    a, b = (verify_scheme_rate(config(M=3, rho=0.64, ab=0.3, n=100_000, seed=11),
+                               threads=t) for t in (1, 2))
+    assert (a.combined_rate, a.combined_stderr) == (b.combined_rate, b.combined_stderr)
 
 
 def test_stderr_calibrated_against_seed_spread():
@@ -198,6 +217,83 @@ def test_stderr_calibrated_against_seed_spread():
     spread = np.std([e.value for e in ests], ddof=1)
     typical = np.median([e.stderr for e in ests])
     assert 0.4 < spread / typical < 2.5
+
+
+# ---------------------------------------------------------------------------
+# The scheme estimator: one covariance per receiver, each MI term once.
+# ---------------------------------------------------------------------------
+
+def _scheme_sums(rho, ab, m):
+    # the common layer's terms, then the pre-coded layer's, as the scheme has them
+    y, u, s = f"Y_{m}", f"U_{m}", f"S_{m}"
+    san = [] if ab == 1.0 else (
+        [(1.0, [y], ["U_san"], []), (-1.0, ["U_san"], ["S_c"], [])] if rho > 0
+        else [(1.0, ["X_san"], [y], [])])
+    gp = [] if ab == 0.0 else [(1.0, [y], [u], ["X_san"] if ab < 1.0 else []),
+                               (-1.0, [u], [s], [])]
+    return san, gp
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.64])
+def test_scheme_builds_one_covariance_per_receiver_and_each_term_once(monkeypatch,
+                                                                    rho):
+    covs, calls = [], []
+    empirical_cov, mi = SchemeSystem.empirical_cov, mc.gaussian_mi
+
+    def counted_cov(self, names, *args, **kw):
+        covs.append(list(names))
+        return empirical_cov(self, names, *args, **kw)
+
+    def counted_mi(cov, a, b, cond=()):
+        calls.append((len(covs), tuple(a), tuple(b), tuple(cond)))
+        return mi(cov, a, b, cond)
+
+    monkeypatch.setattr(SchemeSystem, "empirical_cov", counted_cov)
+    monkeypatch.setattr(mc, "gaussian_mi", counted_mi)
+    M = 3
+    verify_scheme_rate(config(M=M, rho=rho, ab=0.3, n=1000))
+    assert len(covs) == M
+    assert len(calls) == len(set(calls)) == M * sum(map(len, _scheme_sums(rho, 0.3, 1)))
+
+
+@pytest.mark.parametrize("c2,rho", [(4.0, 0.0), (4.0, 0.64), (0.0, 0.0), (0.0, 0.64)])
+@pytest.mark.parametrize("ab", [0.0, 0.3, 1.0])
+def test_scheme_estimate_equals_a_sum_over_one_covariance(c2, rho, ab):
+    cfg = config(M=3, c2=c2, rho=rho, ab=ab, n=20_000, seed=4)
+    report = verify_scheme_rate(cfg)
+    system = SchemeSystem(cfg.params, ab)
+    totals = []
+    for m, (san_est, gp_est) in enumerate(report.per_receiver, start=1):
+        san, gp = _scheme_sums(rho, ab, m)
+        names = sorted({nm for t in san + gp for grp in t[1:] for nm in grp})
+        cov = system.empirical_cov(names, cfg.samples, cfg.seed)
+
+        def estimate(terms):
+            value, grad = 0.0, np.zeros_like(cov)
+            for w, *groups in terms:
+                ix = [[names.index(g) for g in group] for group in groups]
+                value += w * gaussian_mi(cov, *ix)
+                grad += w * mi_gradient(cov, *ix)
+            return value, delta_stderr(cov, grad, cfg.samples)
+
+        assert (san_est.value, san_est.stderr) == (
+            estimate(san) if san else (0.0, 1.0 / cfg.samples))
+        if gp:
+            assert (gp_est.value, gp_est.stderr) == estimate(gp)
+        else:
+            assert gp_est is None
+        totals.append(estimate(san + [(w / 3, *groups) for w, *groups in gp]))
+    assert (report.combined_rate, report.combined_stderr) == min(totals, key=lambda t: t[0])
+
+
+def test_scheme_with_no_power_left_in_either_layer_reports_zero():
+    # a subnormal P split in half rounds both layer powers to 0: each layer
+    # carries exactly zero rate with stderr 1/n, and no covariance is built
+    report = verify_scheme_rate(config(P=5e-324, ab=0.5, n=1000))
+    assert (report.combined_rate, report.combined_stderr, report.closed_form) == (
+        0.0, 1e-3, 0.0)
+    assert all(gp is None and (san.value, san.stderr) == (0.0, 1e-3)
+               for san, gp in report.per_receiver)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +306,20 @@ def test_lambda_profile_peaks_at_mmse_value():
     profile = gp_rate_lambda_profile(cfg, lambdas)
     lam_star = 3.0 / 4.0  # abP/(abP+1)
     assert abs(lambdas[int(np.argmax(profile))] - lam_star) <= 0.01 + 1e-12
+
+
+@pytest.mark.parametrize("receiver", [0, 3])
+def test_lambda_profile_rejects_a_receiver_outside_1_to_M(receiver):
+    with pytest.raises(CcdpError, match="receiver must be in 1..2"):
+        gp_rate_lambda_profile(config(ab=0.3, n=1000), [0.5], receiver=receiver)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [nan, inf, 1e308])
+def test_lambda_profile_rejects_a_non_finite_state_weight(lam):
+    # lam*c with c = 2 is not finite: refused before any draw, with no warning
+    with pytest.raises(DomainError, match="lam and lam\\*c must be finite"):
+        gp_rate_lambda_profile(config(ab=0.3, n=1000), [0.5, lam])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from ccdp import (
     InvalidGain,
     InvalidM,
     InvalidPower,
+    awgn_capacity,
     decompose_states,
     sample_states,
     state_covariance,
@@ -66,12 +67,16 @@ def test_boundary_rho_accepted_singular():
 def test_rejections(args, exc):
     with pytest.raises(exc):
         ChannelParams(*args)
+    if exc is InvalidPower:  # the state-free bound checks P as ChannelParams does
+        with pytest.raises(InvalidPower):
+            awgn_capacity(args[1])
 
 
 def test_ceilings_accepted():
     # the largest M, P and c: every bound stays finite up to them
     p = ChannelParams(2 ** 53, 1e280, 1e140, 1.0)
     assert (p.M, p.P, p.c, p.c2) == (2 ** 53, 1e280, 1e140, 1e140 * 1e140)
+    assert awgn_capacity(1e280).value == pytest.approx(0.5 * np.log2(1e280))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -82,6 +87,9 @@ def test_non_finite_fields_rejected(field, exc, value):
     args = {"M": 2, "P": 10.0, "c": 2.0, "rho": 0.0, field: value}
     with pytest.raises(exc):
         ChannelParams(**args)
+    if field == "P":
+        with pytest.raises(InvalidPower):
+            awgn_capacity(value)
 
 
 def test_rho_bar_plus():
