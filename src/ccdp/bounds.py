@@ -28,15 +28,8 @@ from math import inf, log2, sqrt
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleRho,
-    InvalidM,
-    InvalidPower,
-    InvalidSplit,
-    WrongModel,
-)
-from .model import _MAX_P, FEASIBILITY_TOL, ChannelParams, rho_range
+from .errors import DomainError, InvalidSplit, WrongModel
+from .model import ChannelParams
 
 # Variant tokens (fixed API strings, also accepted by the CLI).
 THEOREM = "theorem-statement"
@@ -75,6 +68,10 @@ class PowerSplit:
 
     alpha_bar: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.alpha_bar <= 1.0:
+            raise InvalidSplit(f"alpha_bar must be in [0, 1], got {self.alpha_bar!r}")
+
     @property
     def alpha(self):
         return 1.0 - self.alpha_bar
@@ -105,17 +102,18 @@ class _Spec:
     rho: float | None
     breaks: object   # None where no plane evaluates it
     pieces: dict     # a _Table of each variant's pieces
+    at_2: dict       # the same at M = 2
 
 
 def _variants(bound, M, rho):
-    # A public bound's pieces by variant, or WrongModel where its model does
-    # not hold (M, rho): the one applicability rule of its scalar and plane forms.
+    # A public bound's pieces by variant (at_2 at M = 2), or WrongModel where its
+    # model does not hold (M, rho): the one applicability rule of scalar and plane.
     spec = _SPECS[bound]
     if spec.M is not None and M != spec.M:
         raise WrongModel(f"bound requires M={spec.M}, got M={M}")
     if spec.rho is not None and rho != spec.rho:
         raise WrongModel(f"bound requires rho={spec.rho}, got rho={rho}")
-    return spec.pieces
+    return spec.at_2 if M == 2 else spec.pieces
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +238,11 @@ def _outer_breaks(M, P):
 # One spec per public bound.  Its scalar function checks the model here and
 # takes the same pieces (an inner bound's one variant by its tuple's name),
 # with the same breakpoints written inline; the plane tests compare the two.
+# At M = 2 a bound takes the pieces of _AT_2 for the variants it lists there.
 _OUTER_M = {THEOREM: _OUTER_M_THEOREM, APPENDIX_FORM: _OUTER_M_APPENDIX}
-_SPECS = {name: _Spec(M, rho, breaks, _Table("variant", pieces))
+_AT_2 = {"ccdp_es_outer": {THEOREM: _ES_OUTER_2}}
+_SPECS = {name: _Spec(M, rho, breaks, _Table("variant", pieces),
+                      _Table("variant", {**pieces, **_AT_2.get(name, {})}))
           for name, M, rho, breaks, pieces in (
     ("ccdp2_inner", 2, 0.0, _inner_breaks, {THEOREM: _INNER_2}),
     ("ccdp2_outer", 2, 0.0, _outer_breaks, {
@@ -249,7 +250,6 @@ _SPECS = {name: _Spec(M, rho, breaks, _Table("variant", pieces))
     ("ccdp_m_inner", None, 0.0, _inner_breaks, {THEOREM: _INNER_M}),
     ("ccdp_m_outer", None, 0.0, _outer_breaks, _OUTER_M),
     ("ccdp_es_inner", None, None, _inner_breaks, {THEOREM: _INNER_M}),
-    # At M = 2 the stated outer is _ES_OUTER_2 (ccdp_es_outer, _plane).
     ("ccdp_es_outer", None, None, _outer_breaks, _OUTER_M),
     ("baseline_outer_2", 2, 0.0, lambda M, P: (-inf, 4.0), {THEOREM: _BASELINE_OUTER_2}),
     ("baseline_inner_2", 2, 0.0, None, {}),
@@ -260,8 +260,7 @@ _SPECS = {name: _Spec(M, rho, breaks, _Table("variant", pieces))
 
 def awgn_capacity(P):
     """State-free benchmark 1/2*log2(1+P): what full pre-cancellation attains."""
-    if not 0.0 < P <= _MAX_P:  # the check of ChannelParams
-        raise InvalidPower(f"P must be in (0, {_MAX_P}], got {P!r}")
+    ChannelParams(2, P, 0.0)  # its check of P
     return BoundResult(_awgn(None, P, None, log2), BR_NA, BR_NA)
 
 
@@ -367,8 +366,7 @@ def ccdp_m_inner_raw(params, alpha_bar):
     layer carries alpha_bar of the power and is live 1/M of the time.
     """
     _variants("ccdp_m_inner_raw", params.M, params.rho)
-    if not 0.0 <= alpha_bar <= 1.0:
-        raise InvalidSplit(f"alpha_bar must be in [0, 1], got {alpha_bar!r}")
+    PowerSplit(alpha_bar)  # its check of alpha_bar
     value = _inner_raw_value(params.M, params.P, params.c2, alpha_bar)
     return BoundResult(value, BR_NA, RAW, params)
 
@@ -438,9 +436,8 @@ def ccdp_es_outer(params, variant=THEOREM):
     appendix outer at the effective gain, used for certification.
     """
     M, P = params.M, params.P
-    pieces = _SPECS["ccdp_es_outer"].pieces[variant]
-    if M == 2 and variant == THEOREM:
-        pieces = _ES_OUTER_2
+    spec = _SPECS["ccdp_es_outer"]
+    pieces = (spec.at_2 if M == 2 else spec.pieces)[variant]
     ceff2 = params.c2 * params.rho_bar_plus
     t1 = M - 1.0
     label, fn, _ = pieces[0 if ceff2 <= t1 else 1 if ceff2 < t1 * (P + 1.0) else 2]
@@ -464,8 +461,6 @@ def _plane(bound, M, P, c, rho, variant=THEOREM):
     where the model fixes rho = 0.  Each piece sees only the elements of its
     own branch, so no expression is evaluated off its branch."""
     pieces = _variants(bound, M, rho)[variant]
-    if bound == "ccdp_es_outer" and M == 2 and variant == THEOREM:
-        pieces = _ES_OUTER_2
     c2 = (c * c) * (1.0 - max(rho, 0.0))
     if variant == RAW and np.any(c2 <= 0.0):
         raise DomainError("raw outer bound needs c > 0")
@@ -491,10 +486,6 @@ def delta_conditional_variances(M, rho):
     times the tridiagonal matrix with 2 on the diagonal and -1 beside it.
     Entry k (k = 1..M-1) is Var(D_{k+1} | D_2..D_k) = (1-rho)*(k+1)/k.
     """
-    if not isinstance(M, (int, np.integer)) or M < 2:
-        raise InvalidM(f"M must be an integer >= 2, got {M!r}")
-    lo, hi = rho_range(M)
-    if not (lo - FEASIBILITY_TOL <= rho <= hi + FEASIBILITY_TOL):
-        raise InfeasibleRho(f"rho={rho!r} outside [{lo}, {hi}] for M={M}")
+    M = ChannelParams(M, 1.0, 0.0, rho).M  # its checks of M and rho
     k = np.arange(1, M)
     return (1.0 - rho) * (k + 1.0) / k

@@ -175,6 +175,19 @@ def config_hash(command, resolved):
         dump_config_text(command, material).encode()).hexdigest()[:16]
 
 
+def _paired(args, command):
+    """args with each ``--name value`` of ``command`` as ``--name=value``: argparse
+    reads a value such as -1e-05 as a flag (it takes plain negative numbers only)."""
+    names = {f"--{name}" for name in (*OPTION_TABLES[command], "config", "dump-config")}
+    out = []
+    for arg in args:
+        if out and out[-1] in names and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser(command):
     parser = argparse.ArgumentParser(prog=f"ccdp {command}", description=None)
     for name, opt in OPTION_TABLES[command].items():
@@ -232,7 +245,8 @@ def _envelope(command, resolved, results, max_gap=None, certified=None,
 
 
 def _params_from(opts):
-    """(ChannelParams, squared gain) of the --c2 or --c option."""
+    """(ChannelParams, squared gain) of the --c2 or --c option; a negative
+    squared gain is checked as the gain itself, as the grid axes check it."""
     c2, c = opts.get("c2"), opts.get("c")
     if c2 is None and c is None:
         raise CcdpError("one of --c2 or --c is required")
@@ -240,9 +254,7 @@ def _params_from(opts):
         raise CcdpError(f"--c2 ({c2}) and --c ({c}) disagree")
     if c2 is None:
         c2 = c * c
-    if c2 < 0:
-        raise CcdpError(f"--c2 must be >= 0, got {c2}")
-    return ChannelParams(opts["M"], opts["P"], sqrt(c2), opts["rho"]), c2
+    return ChannelParams(opts["M"], opts["P"], sqrt(c2) if c2 >= 0 else c2, opts["rho"]), c2
 
 
 def _log_axis(opts, name, axis):
@@ -490,7 +502,7 @@ def main(argv=None):
                     f"config file {path} must set command to one of {COMMANDS}")
 
         parser = _build_parser(command)
-        ns = parser.parse_args(rest)
+        ns = parser.parse_args(_paired(rest, command))
         flag_values = {name: getattr(ns, name) for name in OPTION_TABLES[command]}
         if ns.config and not file_values:
             file_values = read_config_file(ns.config)

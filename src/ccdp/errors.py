@@ -11,7 +11,7 @@ class CcdpError(ValueError):
 
 
 class InvalidM(CcdpError):
-    """Number of receivers must be an integer >= 2."""
+    """Number of receivers outside [2, 2**53], or too many to decompose."""
 
 
 class InvalidPower(CcdpError):

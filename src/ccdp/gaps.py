@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds
 from .errors import CcdpError, InfeasibleRho, WrongModel
-from .model import FEASIBILITY_TOL, ChannelParams, rho_range
+from .model import ChannelParams, _rho_verdict, rho_range
 
 GAP_TOL = 1e-9
 MONOTONE_TOL = 1e-9
@@ -117,11 +117,9 @@ class SweepGrid:
 
     def rho_axis(self, M):
         """Feasible correlation values for this M, in axis order."""
-        lo, hi = rho_range(M)
         if self.rho_values is None:
-            return tuple(np.linspace(lo, hi, self.rho_points).tolist())
-        return tuple(r for r in self.rho_values
-                     if lo - FEASIBILITY_TOL <= r <= hi + FEASIBILITY_TOL)
+            return tuple(np.linspace(*rho_range(M), self.rho_points).tolist())
+        return tuple(r for r in self.rho_values if _rho_verdict(M, r)[1])
 
     def size(self):
         per_m = sum(len(self.rho_axis(M)) for M in self.m_values)

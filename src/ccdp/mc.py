@@ -19,7 +19,7 @@ from math import inf, isfinite, log, log2, nan, sqrt
 
 import numpy as np
 
-from .bounds import _inner_raw_value, _san_rate
+from .bounds import PowerSplit, _inner_raw_value, _san_rate
 from .errors import CcdpError, DegenerateCovariance, DomainError, InvalidSplit
 from .model import (
     SAMPLE_BLOCK,
@@ -48,8 +48,7 @@ class SimulationConfig:
     def __post_init__(self):
         if self.samples < 1000:
             raise CcdpError(f"samples must be >= 1000, got {self.samples}")
-        if not 0.0 <= self.alpha_bar <= 1.0:
-            raise InvalidSplit(f"alpha_bar must be in [0, 1], got {self.alpha_bar!r}")
+        PowerSplit(self.alpha_bar)  # its check of alpha_bar
         if self.target not in TARGETS:
             raise CcdpError(f"target must be one of {TARGETS}, got {self.target!r}")
 
@@ -300,6 +299,18 @@ def estimate_san_rate(config, threads=1):
     return MIEstimate(value, se, config.samples, closed)
 
 
+def _check_precoded(config, lambdas):
+    # The pre-coded layer has power, and each state weight w = lam*c of its
+    # auxiliary has a finite square (Python floats: inf where numpy would warn).
+    if config.alpha_bar * config.params.P == 0.0:
+        raise InvalidSplit("pre-coded layer has zero power (alpha_bar = 0)")
+    for lam in lambdas:
+        w = float(lam) * config.params.c
+        if not isfinite(w * w):
+            raise DomainError(f"lam and lam*c must be finite, and so must "
+                              f"(lam*c)**2, got lam={lam!r}")
+
+
 def estimate_gp_rate(config, lam=None, receiver=1, threads=1):
     """Estimate the pre-coded layer's rate I(Y; U | X_san) - I(U; S).
 
@@ -309,10 +320,7 @@ def estimate_gp_rate(config, lam=None, receiver=1, threads=1):
     """
     p, ab = config.params, config.alpha_bar
     ab_power = ab * p.P
-    if ab_power == 0.0:
-        raise InvalidSplit("pre-coded layer has zero power (alpha_bar = 0)")
-    if lam is not None and not isfinite(lam * p.c):  # the auxiliary's state weight
-        raise DomainError(f"lam and lam*c must be finite, got lam={lam!r}")
+    _check_precoded(config, () if lam is None else (lam,))
     system = SchemeSystem(p, ab, lam=lam)
     closed = gp_rate_closed_form(ab_power, p.c2, system.lam)
     y, u, s = system.receiver(receiver)
@@ -395,11 +403,7 @@ def gp_rate_lambda_profile(config, lambdas, receiver=1, threads=1):
     of the same empirical covariance.
     """
     p, ab = config.params, config.alpha_bar
-    if ab * p.P == 0.0:
-        raise InvalidSplit("pre-coded layer has zero power (alpha_bar = 0)")
-    for lam in lambdas:
-        if not isfinite(lam * p.c):  # the auxiliary's state weight
-            raise DomainError(f"lam and lam*c must be finite, got lam={lam!r}")
+    _check_precoded(config, lambdas)
     system = SchemeSystem(p, ab)
     y, _, s = system.receiver(receiver)
     base_names = [y, "X_pas", s, "X_san"]

@@ -27,6 +27,10 @@ SAMPLE_BLOCK = 1 << 16  # rows per counter block
 # intermediate term of every bound, such as M*(P+1) and 1+P+c2+2c*sqrt(P), is finite.
 _MAX_M, _MAX_P, _MAX_C = 2 ** 53, 1e280, 1e140
 
+# Most latents of a state decomposition: M(M-1)/2 + M at M = 16, so any M <= 16
+# is admitted for any rho.  A scheme's sample block is then about 77 MiB.
+_MAX_LATENTS = 136
+
 _U64 = (1 << 64) - 1
 
 # Decomposition kinds (fixed API tokens).
@@ -38,6 +42,12 @@ NEGATIVE_PAIRWISE = "negative-pairwise"
 def rho_range(M):
     """Feasible correlation interval [-1/(M-1), 1] for M equivalent states."""
     return -1.0 / (M - 1), 1.0
+
+
+def _rho_verdict(M, rho):
+    # (smallest eigenvalue, feasible) of the M-state covariance: the one rule.
+    min_eig = min(1.0 - rho, 1.0 + (M - 1) * rho)
+    return min_eig, min_eig >= -FEASIBILITY_TOL
 
 
 @dataclass(frozen=True, init=False)
@@ -69,9 +79,9 @@ class ChannelParams:
             raise InvalidPower(f"P must be in (0, {_MAX_P}], got {P!r}")
         if not 0.0 <= c <= _MAX_C:
             raise InvalidGain(f"c must be in [0, {_MAX_C}], got {c!r}")
-        lo = -1.0 / (M - 1)  # rho_range(M) without a call per point
-        if not (lo - FEASIBILITY_TOL <= rho <= 1.0 + FEASIBILITY_TOL):
-            raise InfeasibleRho(f"rho={rho!r} outside [{lo}, 1.0] for M={M}")
+        # _rho_verdict inline, once per point: both eigenvalues >= -tol (NaN fails)
+        if not 1.0 + (M - 1) * rho >= -FEASIBILITY_TOL <= 1.0 - rho:
+            raise InfeasibleRho(f"rho={rho!r} outside [{-1.0 / (M - 1)}, 1.0] for M={M}")
         self.__dict__.update(M=M, P=P, c=c, rho=rho, c2=c * c,
                              rho_bar_plus=1.0 - max(rho, 0.0))
 
@@ -122,7 +132,7 @@ def state_covariance(M, rho):
     Parameters
     ----------
     M : int
-        Number of states (>= 2).
+        Number of states, checked as ChannelParams checks it.
     rho : float
         Pairwise correlation, any real value.
 
@@ -130,21 +140,14 @@ def state_covariance(M, rho):
     -------
     StateCovariance
     """
-    if not isinstance(M, (int, np.integer)) or M < 2:
-        raise InvalidM(f"M must be an integer >= 2, got {M!r}")
-    M = int(M)
+    M = ChannelParams(M, 1.0, 0.0).M  # its check of M; rho is only judged here
     entries = np.full((M, M), float(rho))
     np.fill_diagonal(entries, 1.0)
     entries.setflags(write=False)
-    min_eig = min(1.0 - rho, 1.0 + (M - 1) * rho)
-    return StateCovariance(
-        M=M,
-        rho=float(rho),
-        entries=entries,
-        min_eigenvalue=min_eig,
-        feasible=min_eig >= -FEASIBILITY_TOL,
-        singular=abs(min_eig) <= FEASIBILITY_TOL,
-    )
+    min_eig, feasible = _rho_verdict(M, rho)
+    return StateCovariance(M=M, rho=float(rho), entries=entries,
+                           min_eigenvalue=min_eig, feasible=feasible,
+                           singular=abs(min_eig) <= FEASIBILITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -210,30 +213,21 @@ def decompose_states(params):
     """Decompose the state vector of ``params`` into independent latents.
 
     M == 2 uses the shared-latent form; larger M uses the common-latent form
-    for rho >= 0 and the pairwise form for rho < 0.
+    for rho >= 0 and the pairwise form for rho < 0.  Each weight is the root of
+    its variance clamped at 0, so a rho within FEASIBILITY_TOL beyond the
+    boundary gets the boundary's weights.  Past _MAX_LATENTS latents: InvalidM.
     """
-    M, rho = params.M, params.rho
-    if M == 2:
-        a = np.sqrt(abs(rho))
-        return StateDecomposition(
-            kind=TWO_USER_COMMON, M=M, rho=rho,
-            coefficients={"common": a, "private": np.sqrt(1.0 - abs(rho))},
-        )
-    if rho >= 0:
-        return StateDecomposition(
-            kind=POSITIVE_COMMON, M=M, rho=rho,
-            coefficients={"common": np.sqrt(rho), "private": np.sqrt(1.0 - rho)},
-        )
-    residual_var = 1.0 - (M - 1) * abs(rho)
-    if residual_var < -FEASIBILITY_TOL:
-        raise InfeasibleRho(f"rho={rho} below -1/(M-1) for M={M}")
-    return StateDecomposition(
-        kind=NEGATIVE_PAIRWISE, M=M, rho=rho,
-        coefficients={
-            "pairwise": np.sqrt(abs(rho)),
-            "residual": np.sqrt(max(residual_var, 0.0)),
-        },
-    )
+    M, rho, r = params.M, params.rho, abs(params.rho)
+    latents = 3 if M == 2 else 1 + M if rho >= 0 else M * (M - 1) // 2 + M
+    if latents > _MAX_LATENTS:
+        raise InvalidM(f"a state decomposition at M={M}, rho={rho!r} has {latents} "
+                       f"latents, more than the limit {_MAX_LATENTS}")
+    kind, variances = (
+        (TWO_USER_COMMON, {"common": r, "private": 1.0 - r}) if M == 2 else
+        (POSITIVE_COMMON, {"common": rho, "private": 1.0 - rho}) if rho >= 0 else
+        (NEGATIVE_PAIRWISE, {"pairwise": r, "residual": 1.0 - (M - 1) * r}))
+    return StateDecomposition(kind=kind, M=M, rho=rho, coefficients={
+        k: np.sqrt(max(v, 0.0)) for k, v in variances.items()})
 
 
 def block_generator(seed, block):

@@ -20,6 +20,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def opt(name, value, spaced):
+    # one option as "--name=value" or as the two tokens "--name" "value"
+    return (f"--{name}", str(value)) if spaced else (f"--{name}={value}",)
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -32,6 +37,22 @@ def test_bounds_point(capsys):
     assert "outer(appendix) 1.953445" in out
     assert "gap 1.000000" in out
     assert err  # human summary on stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--M", "3", "--P", "10", "--c2", "4", "--rho", "-1e-3"),
+    ("sweep", "--M-values", "2,3", "--P-points", "2", "--c2-points", "2",
+     "--rho-values", "-1e-3,0.5"),
+    ("simulate", "--target", "gp", "--M", "2", "--P", "10", "--c2", "4",
+     "--alpha-bar", "0.3", "--lam", "-1e-2", "--samples", "1000"),
+    ("simulate", "--target", "decomposition", "--M", "3", "--P", "1", "--c2", "1",
+     "--rho", "-2.5e-1", "--samples", "10000", "--out", "-"),
+])
+def test_a_negative_value_with_an_exponent_is_a_value(capsys, argv):
+    # "--name -1e-3" reads as "--name=-1e-3": the same output, exit 0
+    code, out, err = run(capsys, *argv)
+    joined = [f"{a}={b}" for a, b in zip(argv[1::2], argv[2::2])]
+    assert (code, out, err) == (0, *run(capsys, argv[0], *joined)[1:])
 
 
 def test_bounds_invalid_m_names_error(capsys):
@@ -99,15 +120,19 @@ def test_bounds_csv_row_equals_sweep_row(capsys, c2):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(M=st.integers() | st.sampled_from([2 ** 53, 2 ** 53 + 1, -10 ** 400]),
-       P=st.floats(), gain=st.floats(), rho=st.floats(), squared=st.booleans())
-@example(M=3, P=1.5e308, gain=1e308, rho=0.0, squared=True)
-@example(M=10 ** 400, P=10.0, gain=4.0, rho=0.0, squared=True)
+       P=st.floats(), gain=st.floats(), rho=st.floats(), squared=st.booleans(),
+       spaced=st.booleans())
+@example(M=3, P=1.5e308, gain=1e308, rho=0.0, squared=True, spaced=False)
+@example(M=10 ** 400, P=10.0, gain=4.0, rho=0.0, squared=True, spaced=False)
+@example(M=3, P=10.0, gain=4.0, rho=-1e-3, squared=True, spaced=True)
+@example(M=2 ** 40, P=10.0, gain=1.0, rho=-1e-12, squared=True, spaced=True)
 def test_bounds_gives_finite_values_or_a_documented_error(capsys, M, P, gain, rho,
-                                                           squared):
-    # any input: exit 2 naming a CcdpError, or finite values with inner <= outer
-    code, out, err = run(capsys, "bounds", f"--M={M}", f"--P={P!r}",
-                         f"--{'c2' if squared else 'c'}={gain!r}", f"--rho={rho!r}",
-                         "--format", "json")
+                                                           squared, spaced):
+    # any input, in either option form: exit 2 naming a CcdpError, or finite
+    # values with inner <= outer
+    code, out, err = run(capsys, "bounds", *opt("M", M, spaced), *opt("P", repr(P), spaced),
+                         *opt("c2" if squared else "c", repr(gain), spaced),
+                         *opt("rho", repr(rho), spaced), "--format", "json")
     if code == 2:
         name = err.split(":", 1)[0]
         assert issubclass(getattr(errors, name), errors.CcdpError) and not out
@@ -280,6 +305,12 @@ HUGE = ("--P-min", "1e307", "--P-max", "1.5e308", "--c2-min", "1e300", "--c2-max
     (("sweep", *HUGE, *GRID), "InvalidPower"),
     (("audit", *HUGE, *GRID), "InvalidPower"),
     (("sweep", "--c2-max", "1e300", *GRID), "InvalidGain"),
+    (("simulate", "--target", "decomposition", "--M", "17", "--rho", "-0.01",
+      "--c2", "1", "--samples", "10000"), "InvalidM"),
+    (("bounds", "--M", "1099511627776", "--P", "10", "--c2", "1", "--rho", "-1e-12"),
+     "InfeasibleRho"),
+    (("bounds", "--M", "2", "--c2", "-4"), "InvalidGain"),  # as sweep --c2-min -1
+    (("simulate", "--M", "2", "--c2", "-4"), "InvalidGain"),
 ])
 def test_invalid_grid_input_exits_2(capsys, tmp_path, argv, error):
     out = tmp_path / "out"
@@ -399,26 +430,37 @@ def _floats(doc):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(M=st.integers(2, 4), P=st.floats(), c2=st.floats(), rho=st.floats(),
        target=st.sampled_from(["san", "gp", "scheme", "decomposition"]),
-       alpha_bar=st.none() | st.floats(0.0, 1.0), lam=st.none() | st.floats())
-@example(M=3, P=5e-324, c2=4.0, rho=0.0, target="scheme", alpha_bar=None, lam=None)
+       alpha_bar=st.none() | st.floats(0.0, 1.0), lam=st.none() | st.floats(),
+       spaced=st.booleans())
+@example(M=3, P=10.0, c2=4.0, rho=1.0000000000005, target="scheme", alpha_bar=None,
+         lam=None, spaced=False)
+@example(M=2, P=10.0, c2=4.0, rho=-1e-3, target="gp", alpha_bar=0.3, lam=-1e-2,
+         spaced=True)
+@example(M=3, P=5e-324, c2=4.0, rho=0.0, target="scheme", alpha_bar=None, lam=None,
+         spaced=False)
 @example(M=2, P=6.703903964971296e153, c2=6.703903964971299e153, rho=0.0,
-         target="gp", alpha_bar=None, lam=None)
+         target="gp", alpha_bar=None, lam=None, spaced=False)
 @example(M=2, P=2.3531931915990564e16, c2=0.5, rho=0.0, target="scheme",
-         alpha_bar=0.5, lam=None)
+         alpha_bar=0.5, lam=None, spaced=False)
 @example(M=2, P=1.0, c2=3.1852513365225147e205, rho=0.0, target="gp",
-         alpha_bar=None, lam=3.1852513365225147e205)
+         alpha_bar=None, lam=3.1852513365225147e205, spaced=False)
 @example(M=2, P=1.0, c2=0.0, rho=0.0, target="decomposition", alpha_bar=None,
-         lam=None)
-@example(M=2, P=10.0, c2=0.0, rho=0.0, target="gp", alpha_bar=0.3, lam=1e200)
-@example(M=2, P=1e20, c2=0.0, rho=0.0, target="gp", alpha_bar=1.0, lam=None)
-@example(M=2, P=5e-324, c2=4.0, rho=0.0, target="scheme", alpha_bar=0.5, lam=None)
+         lam=None, spaced=False)
+@example(M=2, P=10.0, c2=0.0, rho=0.0, target="gp", alpha_bar=0.3, lam=1e200,
+         spaced=False)
+@example(M=2, P=1e20, c2=0.0, rho=0.0, target="gp", alpha_bar=1.0, lam=None,
+         spaced=False)
+@example(M=2, P=5e-324, c2=4.0, rho=0.0, target="scheme", alpha_bar=0.5, lam=None,
+         spaced=False)
 def test_simulate_gives_finite_values_or_a_documented_error(capsys, M, P, c2, rho,
-                                                            target, alpha_bar, lam):
-    # any input: exit 2 naming a CcdpError, or finite values, stderrs and z-scores
-    optional = {"alpha-bar": alpha_bar, "lam": lam}
-    code, out, err = run(capsys, "simulate", "--target", target, f"--M={M}",
-                         f"--P={P!r}", f"--c2={c2!r}", f"--rho={rho!r}",
-                         *(f"--{k}={v!r}" for k, v in optional.items() if v is not None),
+                                                            target, alpha_bar, lam,
+                                                            spaced):
+    # any input, in either option form: exit 2 naming a CcdpError, or finite
+    # values, stderrs and z-scores
+    values = {"M": M, "P": P, "c2": c2, "rho": rho, "alpha-bar": alpha_bar, "lam": lam}
+    code, out, err = run(capsys, "simulate", "--target", target,
+                         *(a for k, v in values.items() if v is not None
+                           for a in opt(k, repr(v), spaced)),
                          "--samples", "1000")
     if code == 2:
         name = err.split(":", 1)[0]

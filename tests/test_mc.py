@@ -315,11 +315,21 @@ def test_lambda_profile_rejects_a_receiver_outside_1_to_M(receiver):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("lam", [nan, inf, 1e308])
+@pytest.mark.parametrize("lam", [nan, inf, 1e308, 1e200, -1e300])
 def test_lambda_profile_rejects_a_non_finite_state_weight(lam):
-    # lam*c with c = 2 is not finite: refused before any draw, with no warning
+    # lam*c with c = 2, or its square, is not finite: refused before any draw,
+    # with no warning
     with pytest.raises(DomainError, match="lam and lam\\*c must be finite"):
         gp_rate_lambda_profile(config(ab=0.3, n=1000), [0.5, lam])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [nan, inf, 1e308, 1e200, -1e300, np.float64(1e200)])
+def test_gp_estimate_rejects_a_state_weight_as_the_profile_does(lam):
+    with pytest.raises(DomainError, match="lam and lam\\*c must be finite"):
+        estimate_gp_rate(config(ab=0.3, n=1000), lam=lam)
+    with pytest.raises(DomainError, match="lam and lam\\*c must be finite"):
+        gp_rate_lambda_profile(config(ab=0.3, n=1000), np.array([lam]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 seeded sampling."""
 
 import pickle
+import re
 from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,18 +12,27 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccdp
 from ccdp import (
     ChannelParams,
     InfeasibleRho,
     InvalidGain,
     InvalidM,
     InvalidPower,
+    InvalidSplit,
+    PowerSplit,
+    SimulationConfig,
+    SweepGrid,
     awgn_capacity,
+    ccdp_m_inner_raw,
     decompose_states,
+    delta_conditional_variances,
     sample_states,
     state_covariance,
 )
 from ccdp.model import (
+    _MAX_LATENTS,
+    FEASIBILITY_TOL,
     NEGATIVE_PAIRWISE,
     POSITIVE_COMMON,
     TWO_USER_COMMON,
@@ -111,6 +122,99 @@ def test_rejection_messages(args, exc, message):
     with pytest.raises(exc) as info:
         ChannelParams(*args)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# One owner per input rule: ChannelParams checks M, P, c and rho, PowerSplit
+# checks alpha_bar, and every other entry point checks through them.
+# ---------------------------------------------------------------------------
+
+P3 = ChannelParams(3, 10.0, 2.0)
+M_MESSAGE = "M must be an integer in [2, 2**53], got {}"
+RHO_MESSAGE = "rho=5.0 outside [-0.5, 1.0] for M=3"
+SPLIT_MESSAGE = "alpha_bar must be in [0, 1], got 1.5"
+OWNED_CHECKS = [
+    (lambda M: ChannelParams(M, 10.0, 2.0), InvalidM, M_MESSAGE),
+    (lambda M: state_covariance(M, 0.0), InvalidM, M_MESSAGE),
+    (lambda M: delta_conditional_variances(M, 0.0), InvalidM, M_MESSAGE),
+    (lambda P: ChannelParams(2, P, 2.0), InvalidPower, "P must be in (0, 1e+280], got {}"),
+    (awgn_capacity, InvalidPower, "P must be in (0, 1e+280], got {}"),
+    (lambda rho: ChannelParams(3, 10.0, 2.0, rho), InfeasibleRho, RHO_MESSAGE),
+    (lambda rho: delta_conditional_variances(3, rho), InfeasibleRho, RHO_MESSAGE),
+    (lambda rho: decompose_states(ChannelParams(3, 1.0, 1.0, rho)), InfeasibleRho,
+     RHO_MESSAGE),
+    (PowerSplit, InvalidSplit, SPLIT_MESSAGE),
+    (lambda ab: ccdp_m_inner_raw(P3, ab), InvalidSplit, SPLIT_MESSAGE),
+    (lambda ab: SimulationConfig(P3, alpha_bar=ab), InvalidSplit, SPLIT_MESSAGE),
+]
+BAD_VALUES = {InvalidM: (1, True, 2.0, 2 ** 53 + 1), InvalidPower: (0.0, 1e281, float("nan")),
+              InfeasibleRho: (5.0,), InvalidSplit: (1.5,)}
+
+
+@pytest.mark.parametrize("call,exc,message", OWNED_CHECKS)
+def test_every_entry_point_checks_through_the_owning_type(call, exc, message):
+    for value in BAD_VALUES[exc]:
+        with pytest.raises(exc) as info:
+            call(value)
+        assert str(info.value) == message.format(repr(value))
+
+
+def test_the_bounds_of_the_domain_are_written_in_model_only():
+    # the ceilings and the feasibility tolerance: other modules check through
+    # ChannelParams and model's helpers, never against the constants
+    for path in Path(ccdp.__file__).parent.glob("*.py"):
+        if path.name != "model.py":
+            text = path.read_text(encoding="utf-8")
+            for name in ("_MAX_M", "_MAX_P", "_MAX_C", "FEASIBILITY_TOL"):
+                assert not re.search(rf"\b{name}\b", text), (path.name, name)
+
+
+# rho within FEASIBILITY_TOL of an eigenvalue bound: accepted everywhere, and
+# the decomposition gets the boundary's weights without a warning.
+INSIDE_BAND = [(2, 1.0 + 0.5e-12), (2, -1.0 - 0.5e-12), (3, 1.0 + 0.5e-12),
+               (3, -0.5 - 0.4e-12), (2 ** 40, 1.0 + 0.5e-12), (2 ** 40, -1.0 / (2 ** 40 - 1))]
+# Past it: the smallest eigenvalue is below -FEASIBILITY_TOL (at M = 2**40,
+# rho = -1e-12 gives -0.0995), so every entry point refuses it.
+OUTSIDE_BAND = [(2, 1.0 + 2e-12), (2, -1.0 - 2e-12), (3, 1.0 + 2e-12),
+                (3, -0.5000000000009), (2 ** 40, -1e-12), (2 ** 40, 1.0 + 2e-12)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("M,rho", INSIDE_BAND)
+def test_rho_inside_the_tolerance_band_is_accepted_everywhere(M, rho):
+    p = ChannelParams(M, 1.0, 1.0, rho)
+    assert SweepGrid((M,), (10.0,), (4.0,), (rho,)).rho_axis(M) == (rho,)
+    if M <= 3:
+        cov = state_covariance(M, rho)
+        assert cov.feasible and cov.min_eigenvalue >= -FEASIBILITY_TOL
+        assert np.max(np.abs(decompose_states(p).gram() - cov.entries)) < 1e-11
+        assert np.all(np.isfinite(delta_conditional_variances(M, rho)))
+
+
+@pytest.mark.parametrize("M,rho", OUTSIDE_BAND)
+def test_rho_past_the_tolerance_band_is_infeasible_everywhere(M, rho):
+    with pytest.raises(InfeasibleRho, match=rf"^rho={re.escape(repr(rho))} outside"):
+        ChannelParams(M, 1.0, 1.0, rho)
+    with pytest.raises(InfeasibleRho):
+        delta_conditional_variances(M, rho)
+    assert SweepGrid((M,), (10.0,), (4.0,), (rho,)).rho_axis(M) == ()
+    if M <= 3:
+        assert not state_covariance(M, rho).feasible
+
+
+@pytest.mark.parametrize("M", [2, 3, 5, 8])
+def test_one_feasibility_verdict_near_both_ends(M):
+    # ChannelParams, StateCovariance.feasible and the sweep's rho axis agree
+    # on every rho within a few tolerances of -1/(M-1) and of 1
+    rhos = [end + k * 1e-13 for end in (-1.0 / (M - 1), 1.0) for k in range(-30, 31)]
+    kept = set(SweepGrid((M,), (10.0,), (4.0,), tuple(rhos)).rho_axis(M))
+    for rho in rhos:
+        try:
+            ChannelParams(M, 1.0, 1.0, rho)
+            accepted = True
+        except InfeasibleRho:
+            accepted = False
+        assert accepted == state_covariance(M, rho).feasible == (rho in kept), rho
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +398,24 @@ def test_gram_reconstruction_symbolic(M, kind):
         rho = -r
     target = sp.Matrix(M, M, lambda i, j: 1 if i == j else rho)
     assert sp.simplify(W * W.T - target) == sp.zeros(M, M)
+
+
+@pytest.mark.parametrize("rho", [-1e-7, 0.5])
+def test_decomposition_refuses_more_latents_than_the_limit(rho):
+    # refused before any weight or pair list is built
+    with pytest.raises(InvalidM, match=rf"has \d+ latents, more than the limit "
+                                       rf"{_MAX_LATENTS}$"):
+        decompose_states(ChannelParams(10 ** 6, 1.0, 1.0, rho))
+
+
+def test_every_m_up_to_16_decomposes_for_any_rho():
+    assert decompose_states(ChannelParams(16, 1.0, 1.0, -1.0 / 15)).gram().shape == (16, 16)
+    assert decompose_states(ChannelParams(135, 1.0, 1.0, 0.5)).mixing_matrix()[0].shape \
+        == (135, 136)
+    with pytest.raises(InvalidM, match="M=17, rho=-0.01 has 153 latents, more than"):
+        decompose_states(ChannelParams(17, 1.0, 1.0, -0.01))
+    with pytest.raises(InvalidM, match="has 137 latents"):
+        decompose_states(ChannelParams(136, 1.0, 1.0, 0.5))
 
 
 def test_negative_rho_uses_sign_flip_for_two_users():
