@@ -189,7 +189,8 @@ def _paired(args, command):
 
 
 def _build_parser(command):
-    parser = argparse.ArgumentParser(prog=f"ccdp {command}", description=None)
+    # No abbreviations: the option names are exactly the ones _paired joins.
+    parser = argparse.ArgumentParser(prog=f"ccdp {command}", allow_abbrev=False)
     for name, opt in OPTION_TABLES[command].items():
         parser.add_argument(f"--{name}", default=None, dest=name, help=opt.help)
     parser.add_argument("--config", default=None, help="config file path")
@@ -245,16 +246,16 @@ def _envelope(command, resolved, results, max_gap=None, certified=None,
 
 
 def _params_from(opts):
-    """(ChannelParams, squared gain) of the --c2 or --c option; a negative
-    squared gain is checked as the gain itself, as the grid axes check it."""
+    """(ChannelParams, squared gain) of the --c2 or --c option; --c, or a
+    negative --c2, is checked as the gain itself, as the grid axes check it."""
     c2, c = opts.get("c2"), opts.get("c")
     if c2 is None and c is None:
         raise CcdpError("one of --c2 or --c is required")
     if c2 is not None and c is not None and abs(c * c - c2) > 1e-9:
         raise CcdpError(f"--c2 ({c2}) and --c ({c}) disagree")
-    if c2 is None:
-        c2 = c * c
-    return ChannelParams(opts["M"], opts["P"], sqrt(c2) if c2 >= 0 else c2, opts["rho"]), c2
+    if c is None:
+        c = sqrt(c2) if c2 >= 0 else c2
+    return ChannelParams(opts["M"], opts["P"], c, opts["rho"]), c * c if c2 is None else c2
 
 
 def _log_axis(opts, name, axis):

@@ -3,11 +3,14 @@
 Every variable in the coding scheme (codeword layers, states, noises, channel
 outputs, dirty-paper auxiliaries) is a fixed linear combination of an i.i.d.
 standard-normal basis.  Estimation therefore reduces to one pass of blocked
-second-moment accumulation over the basis; any subset's covariance is a
-congruence transform of that matrix, and mutual information follows from the
-Gaussian log-determinant functional.  Standard errors come from the delta
-method on the same functional: for an MI with gradient G (nats) at covariance
-S estimated from n zero-mean samples, Var ~= (2/n) * tr(G S G S).
+second-moment accumulation over the basis, S = L L^T, and the rows A @ L of
+the variables are a square-root factor of their empirical covariance.  Mutual
+information is a signed sum of log-dets of covariance blocks, each read from a
+QR of the block's rows: no Gram matrix or inverse is formed, as a Gram matrix
+squares the condition number (Golub & Van Loan, sec. 5.3).  The delta-method
+variance of such a sum from n zero-mean samples, (2/n) * tr(G Sigma G Sigma)
+for its gradient G (nats), is (2/n) * sum_{k,j} w_k w_j ||Q_k^T Q_j||_F^2 over
+the blocks' orthonormal factors Q_k and weights w_k.
 
 Blocks use the counter-based streams of :mod:`ccdp.model`, so estimates are
 reproducible for a fixed seed and can be accumulated by parallel workers
@@ -68,58 +71,68 @@ class MIEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian MI functional and its delta-method standard error.
+# Gaussian MI functional and its delta-method standard error, in factor form.
 # ---------------------------------------------------------------------------
 
-def _logdet(cov, idx):
-    if len(idx) == 0:
-        return 0.0
-    sign, ld = np.linalg.slogdet(cov[np.ix_(idx, idx)])
-    if sign <= 0:
-        raise DegenerateCovariance(
-            f"covariance block {idx} is numerically singular")
-    return ld
-
-
-def _embed_inverse(cov, idx, out, weight):
-    sub = cov[np.ix_(idx, idx)]
+def _cholesky(cov):
     try:
-        inv = np.linalg.inv(sub)
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateCovariance(str(exc)) from exc
-    out[np.ix_(idx, idx)] += weight * inv
+        raise DegenerateCovariance(f"covariance is not positive definite: {exc}") from exc
+
+
+def _factor(rows, block):
+    """(log det in nats, orthonormal Q) of the covariance of the block's rows B.
+
+    B^T = Q R gives B B^T = R^T R.  Rank rule: |R_ii|, the length of row i
+    outside the span of the rows before it, must exceed width * eps times the
+    row's own length (the round-off of a Householder QR, Higham, ch. 19).
+    """
+    sub = np.stack([rows[k] for k in block])
+    q, r = np.linalg.qr(sub.T)
+    diag = np.abs(np.diagonal(r))
+    if not np.all(diag > sub.shape[1] * np.finfo(float).eps * np.linalg.norm(sub, axis=1)):
+        raise DegenerateCovariance(f"covariance block {list(block)} is numerically singular")
+    return 2.0 * float(np.sum(np.log(diag))), q
+
+
+def mi_gradient(a, b, cond=()):
+    """Signed log-det blocks {indices: weight} of I(A; B | C) in nats.
+
+    I = sum_k w_k * log det Sigma_kk, so its gradient in the covariance is
+    sum_k w_k * inv(Sigma_kk) on block k.  One set of indices is one block.
+    """
+    a, b, cond = list(a), list(b), list(cond)
+    blocks = {}
+    for group, w in ((a + cond, 0.5), (b + cond, 0.5), (cond, -0.5), (a + b + cond, -0.5)):
+        if group:
+            key = tuple(sorted(group))
+            blocks[key] = blocks.get(key, 0.0) + w
+    return blocks
+
+
+def delta_stderr(factors, weights, n):
+    """Delta-method standard error (bits) of sum_k w_k * log det Sigma_kk (nats).
+
+    factors are the blocks' orthonormal Q_k.  The variance (2/n) * sum_{k,j}
+    w_k w_j ||Q_k^T Q_j||_F^2 is (2/n) * ||sum_k w_k Q_k Q_k^T||_F^2: one product
+    of the stacked Q_k, and a sum of squares, so a tiny variance stays accurate.
+    """
+    q = np.hstack(factors)
+    g = (q * np.repeat(weights, [f.shape[1] for f in factors])) @ q.T
+    return sqrt(2.0 / n * float(np.sum(g * g))) / LN2
 
 
 def gaussian_mi(cov, a, b, cond=()):
     """I(A; B | C) in bits for jointly Gaussian variables with covariance cov.
 
-    a, b, cond are disjoint index lists into cov.  Feeding the analytic
-    covariance reproduces the closed form exactly (up to linear algebra
-    round-off); feeding an empirical one gives the plug-in estimate.
+    a, b, cond are disjoint index lists into cov.  The blocks are factored from
+    the Cholesky factor of the rows they use (DegenerateCovariance if not
+    positive definite); an analytic covariance gives the closed form.
     """
-    a, b, cond = list(a), list(b), list(cond)
-    ld = _logdet(cov, a + cond) + _logdet(cov, b + cond) \
-        - _logdet(cov, cond) - _logdet(cov, a + b + cond)
-    return 0.5 * ld / LN2
-
-
-def mi_gradient(cov, a, b, cond=()):
-    """Gradient (nats) of I(A;B|C) with respect to the covariance matrix."""
-    a, b, cond = list(a), list(b), list(cond)
-    G = np.zeros_like(cov)
-    _embed_inverse(cov, a + cond, G, 0.5)
-    _embed_inverse(cov, b + cond, G, 0.5)
-    if cond:
-        _embed_inverse(cov, cond, G, -0.5)
-    _embed_inverse(cov, a + b + cond, G, -0.5)
-    return G
-
-
-def delta_stderr(cov, grad, n):
-    """Standard error (bits) of a covariance functional with gradient ``grad``."""
-    gs = grad @ cov
-    var_nats = 2.0 / n * float(np.trace(gs @ gs))
-    return sqrt(max(var_nats, 0.0)) / LN2
+    own = sorted({*a, *b, *cond})
+    rows = dict(zip(own, _cholesky(cov[np.ix_(own, own)])))
+    return sum(w * _factor(rows, k)[0] for k, w in mi_gradient(a, b, cond).items()) / LN2
 
 
 def gp_rate_closed_form(layer_power, c2, lam):
@@ -219,7 +232,7 @@ class SchemeSystem:
             self.lam_common = a_power / (a_power + noise) if a_power > 0 else 0.0
             rows["U_san"] = x_san + self.lam_common * (c * sqrt(rho)) * s_c
         self.rows = rows
-        self._moment_cache = {}
+        self._factor_cache = {}
 
     def receiver(self, m):
         """Names of receiver m's output, auxiliary and state rows."""
@@ -235,50 +248,38 @@ class SchemeSystem:
         return A @ A.T
 
     def basis_second_moment(self, n, seed, threads=1):
-        """Empirical (1/n) * sum of basis outer products, cached per (n, seed)."""
+        """Empirical (1/n) * sum of basis outer products."""
+        return _second_moment(n, self.dim, seed, threads)
+
+    def factor_rows(self, n, seed, threads=1):
+        """{name: row of transform @ L}, S = L L^T the basis second moment, so
+        any variables' empirical covariance is their rows' Gram matrix.  Cached
+        per (n, seed)."""
         key = (n, seed)
-        if key not in self._moment_cache:
-            self._moment_cache[key] = _second_moment(n, self.dim, seed, threads)
-        return self._moment_cache[key]
-
-    def empirical_cov(self, names, n, seed, threads=1):
-        A = self.transform(names)
-        return A @ self.basis_second_moment(n, seed, threads) @ A.T
+        if key not in self._factor_cache:
+            L = _cholesky(self.basis_second_moment(n, seed, threads))
+            self._factor_cache[key] = dict(zip(self.rows, self.transform(self.rows) @ L))
+        return self._factor_cache[key]
 
 
-def _estimate_sums(system, names, sums, n, seed, threads=1):
-    """Weighted sums of conditional MIs over one covariance of the named rows.
+def _estimate_sums(rows, sums, n):
+    """Weighted sums of conditional MIs (bits) of variables with factor rows.
 
-    Each sum lists (weight, a, b, cond) terms naming rows of the system and
-    comes back as (value, delta-method stderr); each distinct term is
-    evaluated once.  An empty sum is a layer with zero power: exactly zero
-    rate, with stderr 1/n so that its z-score stays defined.
+    Each sum lists (weight, a, b, cond) terms and comes back as (value,
+    delta-method stderr); each distinct block is factored once.  An empty sum is
+    a layer with zero power: rate 0, with stderr 1/n so its z-score is defined.
     """
-    if not names:  # no layer has power
-        return [(0.0, 1.0 / n)] * len(sums)
-    cov = system.empirical_cov(names, n, seed, threads)
-    # A variance below the smallest normal float, as a subnormal P gives, has
-    # no finite inverse: the functional and its gradient would be NaN.
-    if not np.all(np.diag(cov) >= np.finfo(float).tiny):
-        raise DegenerateCovariance(
-            f"a variance of {names} is below the smallest normal float")
-    idx = {name: i for i, name in enumerate(names)}
-    evaluated, results = {}, []
+    factors, results = {}, []
     for terms in sums:
-        value, grad = 0.0, np.zeros_like(cov)
+        weights = {}
         for w, a, b, cond in terms:
-            key = (tuple(a), tuple(b), tuple(cond))
-            if key not in evaluated:
-                ix = [[idx[g] for g in group] for group in (a, b, cond)]
-                evaluated[key] = gaussian_mi(cov, *ix), mi_gradient(cov, *ix)
-            mi, g = evaluated[key]
-            value += w * mi
-            grad += w * g
-        se = delta_stderr(cov, grad, n) if terms else 1.0 / n
-        # Near-singular blocks can leave a NaN, or a variance round-off made <= 0.
-        if not (isfinite(value) and 0.0 < se < inf):
-            raise DegenerateCovariance(f"covariance of {names} gives no finite "
-                                       f"estimate with a positive stderr")
+            for block, v in mi_gradient(a, b, cond).items():
+                weights[block] = weights.get(block, 0.0) + w * v
+        for block in weights:
+            factors[block] = factors.get(block) or _factor(rows, block)
+        value = sum(w * factors[k][0] for k, w in weights.items()) / LN2
+        se = delta_stderr([factors[k][1] for k in weights], list(weights.values()),
+                          n) if terms else 1.0 / n
         results.append((value, se))
     return results
 
@@ -294,8 +295,8 @@ def estimate_san_rate(config, threads=1):
     if a_power == 0.0:  # the zero-power rule of _estimate_sums, with no draw
         return MIEstimate(0.0, 1.0 / config.samples, config.samples, closed)
     [(value, se)] = _estimate_sums(
-        SchemeSystem(p, ab), ["X_san", "Y_1"], [[(1.0, ["X_san"], ["Y_1"], [])]],
-        config.samples, config.seed, threads)
+        SchemeSystem(p, ab).factor_rows(config.samples, config.seed, threads),
+        [[(1.0, ["X_san"], ["Y_1"], [])]], config.samples)
     return MIEstimate(value, se, config.samples, closed)
 
 
@@ -326,8 +327,8 @@ def estimate_gp_rate(config, lam=None, receiver=1, threads=1):
     y, u, s = system.receiver(receiver)
     cond = ["X_san"] if ab < 1.0 else []  # zero-power layer cannot be conditioned on
     [(value, se)] = _estimate_sums(
-        system, [y, u, s] + cond, [[(1.0, [y], [u], cond), (-1.0, [u], [s], [])]],
-        config.samples, config.seed, threads)
+        system.factor_rows(config.samples, config.seed, threads),
+        [[(1.0, [y], [u], cond), (-1.0, [u], [s], [])]], config.samples)
     return MIEstimate(value, se, config.samples, closed)
 
 
@@ -360,6 +361,7 @@ def verify_scheme_rate(config, threads=1):
     ab_power = ab * p.P
     precode_common = p.rho > 0 and a_power > 0
     system = SchemeSystem(p, ab)
+    rows = system.factor_rows(n, seed, threads) if a_power > 0 or ab_power > 0 else {}
 
     # The common layer sees the states as noise at the effective gain: with
     # rho > 0 it pre-codes the common component away, leaving (1-rho)*c2.
@@ -377,10 +379,8 @@ def verify_scheme_rate(config, threads=1):
         cond = ["X_san"] if a_power > 0 else []
         terms_gp = [(1.0, [y], [u], cond), (-1.0, [u], [s], [])] if ab_power > 0 else []
 
-        names = sorted({nm for t in terms_san + terms_gp for grp in t[1:] for nm in grp})
         scaled = terms_san + [(w / M, a, b, c) for (w, a, b, c) in terms_gp]
-        total, san, gp = _estimate_sums(system, names, [scaled, terms_san, terms_gp],
-                                        n, seed, threads)
+        total, san, gp = _estimate_sums(rows, [scaled, terms_san, terms_gp], n)
         per_receiver.append((MIEstimate(*san, n, san_closed),
                              MIEstimate(*gp, n, gp_closed) if terms_gp else None))
         combined.append(total)
@@ -399,22 +399,20 @@ def gp_rate_lambda_profile(config, lambdas, receiver=1, threads=1):
     """Empirical pre-coded rate as a function of the inflation factor.
 
     One set of samples serves every lambda: the auxiliary is a linear
-    function of (X_pas, S), so each profile point is a congruence transform
-    of the same empirical covariance.
+    function of (X_pas, S), and so is its factor row.
     """
     p, ab = config.params, config.alpha_bar
     _check_precoded(config, lambdas)
     system = SchemeSystem(p, ab)
-    y, _, s = system.receiver(receiver)
-    base_names = [y, "X_pas", s, "X_san"]
-    base = system.empirical_cov(base_names, config.samples, config.seed, threads)
-    cond = [3] if (1.0 - ab) * p.P > 0 else []
+    y, u, s = system.receiver(receiver)
+    rows = system.factor_rows(config.samples, config.seed, threads)
+    cond = ["X_san"] if (1.0 - ab) * p.P > 0 else []
     values = []
     for lam in lambdas:
-        A = np.eye(4)  # quantity order: Y, U(lam), S, X_san
-        A[1, 2] = lam * p.c
-        cov = A @ base @ A.T
-        values.append(gaussian_mi(cov, [0], [1], cond) - gaussian_mi(cov, [1], [2]))
+        [(value, _)] = _estimate_sums({**rows, u: rows["X_pas"] + lam * p.c * rows[s]},
+                                      [[(1.0, [y], [u], cond), (-1.0, [u], [s], [])]],
+                                      config.samples)
+        values.append(value)
     return np.asarray(values)
 
 

@@ -289,8 +289,6 @@ HUGE = ("--P-min", "1e307", "--P-max", "1.5e308", "--c2-min", "1e300", "--c2-max
     (("fig3", "--c-min", "nan", "--points", "3"), "InvalidGain"),
     (("simulate", "--M", "2", "--c2", "4", "--samples", "0"), "CcdpError"),
     (("simulate", "--M", "2", "--c2", "4", "--target", "nope"), "CcdpError"),
-    (("simulate", "--target", "scheme", "--M", "3", "--P", "5e-324", "--c2", "4",
-      "--samples", "20000"), "DegenerateCovariance"),
     (("certify", "--theorem", "Th3", "--M-values", "3,4", "--rho-values", "0.5",
       *GRID), "WrongModel"),
     (("certify", "--theorem", "Th3", "--rho-values", "0.5", *GRID), "WrongModel"),
@@ -311,12 +309,35 @@ HUGE = ("--P-min", "1e307", "--P-max", "1.5e308", "--c2-min", "1e300", "--c2-max
      "InfeasibleRho"),
     (("bounds", "--M", "2", "--c2", "-4"), "InvalidGain"),  # as sweep --c2-min -1
     (("simulate", "--M", "2", "--c2", "-4"), "InvalidGain"),
+    (("bounds", "--M", "2", "--c", "-2"), "InvalidGain"),  # the gain, not squared
+    (("simulate", "--M", "2", "--c", "-2"), "InvalidGain"),
+    (("bounds", "--M", "2", "--c", "-2", "--c2", "4"), "InvalidGain"),
 ])
 def test_invalid_grid_input_exits_2(capsys, tmp_path, argv, error):
     out = tmp_path / "out"
     code, _, err = run(capsys, *argv, "--out", str(out))
     assert code == 2 and err.startswith(f"{error}: ")
     assert not out.exists()
+
+
+def test_subnormal_power_gives_a_finite_scheme_estimate(capsys):
+    # every variance is far below the smallest normal float; the rank rule is
+    # relative to each row, so the estimate is finite and matches rate 0
+    code, out, _ = run(capsys, "simulate", "--target", "scheme", "--M", "3",
+                       "--P", "5e-324", "--c2", "4", "--samples", "20000")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert all(map(isfinite, _floats(results)))
+    assert results["closed_form"] == 0.0 and abs(results["z_score"]) < 4
+
+
+@pytest.mark.parametrize("argv", [("--rh", "-1e-3"), ("--rh=-1e-3",), ("--rh", "0.5")])
+def test_an_abbreviated_option_is_refused(capsys, argv):
+    # only the exact option names exist, the ones a negative value is joined to
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "bounds", "--M", "2", "--c2", "4", *argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rh" in capsys.readouterr().err
 
 
 POINT = ("--M", "2", "--P", "10", "--c2", "4")

@@ -220,7 +220,7 @@ def test_stderr_calibrated_against_seed_spread():
 
 
 # ---------------------------------------------------------------------------
-# The scheme estimator: one covariance per receiver, each MI term once.
+# The scheme estimator: one factor per simulation, each block once per receiver.
 # ---------------------------------------------------------------------------
 
 def _scheme_sums(rho, ab, m):
@@ -235,55 +235,120 @@ def _scheme_sums(rho, ab, m):
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.64])
-def test_scheme_builds_one_covariance_per_receiver_and_each_term_once(monkeypatch,
-                                                                    rho):
-    covs, calls = [], []
-    empirical_cov, mi = SchemeSystem.empirical_cov, mc.gaussian_mi
+def test_scheme_builds_one_factor_and_factors_each_block_once(monkeypatch, rho):
+    choleskys, receivers, blocks = [], [], []
+    cholesky, estimate_sums, factor = mc._cholesky, mc._estimate_sums, mc._factor
 
-    def counted_cov(self, names, *args, **kw):
-        covs.append(list(names))
-        return empirical_cov(self, names, *args, **kw)
+    def counted_cholesky(cov):
+        choleskys.append(cov.shape)
+        return cholesky(cov)
 
-    def counted_mi(cov, a, b, cond=()):
-        calls.append((len(covs), tuple(a), tuple(b), tuple(cond)))
-        return mi(cov, a, b, cond)
+    def counted_sums(rows, sums, n):
+        receivers.append(len(receivers))
+        return estimate_sums(rows, sums, n)
 
-    monkeypatch.setattr(SchemeSystem, "empirical_cov", counted_cov)
-    monkeypatch.setattr(mc, "gaussian_mi", counted_mi)
+    def counted_factor(rows, block):
+        blocks.append((receivers[-1], block))
+        return factor(rows, block)
+
+    monkeypatch.setattr(mc, "_cholesky", counted_cholesky)
+    monkeypatch.setattr(mc, "_estimate_sums", counted_sums)
+    monkeypatch.setattr(mc, "_factor", counted_factor)
     M = 3
     verify_scheme_rate(config(M=M, rho=rho, ab=0.3, n=1000))
-    assert len(covs) == M
-    assert len(calls) == len(set(calls)) == M * sum(map(len, _scheme_sums(rho, 0.3, 1)))
+    assert len(choleskys) == 1 and len(receivers) == M
+    want = sum(len({k for _, *groups in sum(_scheme_sums(rho, 0.3, m), [])
+                    for k in mi_gradient(*groups)}) for m in range(1, M + 1))
+    assert len(blocks) == len(set(blocks)) == want
+
+
+def test_scheme_calls_the_traced_functional_once_per_sum(monkeypatch):
+    # a benchmark tracer wraps mc.mi_gradient and mc.delta_stderr by name
+    calls = {"mi_gradient": 0, "delta_stderr": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(mc, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mc, name, counted)
+    M = 3
+    verify_scheme_rate(config(M=M, ab=0.3, n=1000))
+    san, gp = _scheme_sums(0.0, 0.3, 1)
+    assert calls == {"mi_gradient": M * 2 * (len(san) + len(gp)), "delta_stderr": M * 3}
+
+
+def _covariance_form(cov, terms, n):
+    # the reference: slogdet of each block, inv for the gradient, trace for
+    # the delta-method variance (2/n) * tr(G cov G cov)
+    value, grad = 0.0, np.zeros_like(cov)
+    for w, a, b, cond in terms:
+        for group, sign in ((a + cond, 1), (b + cond, 1), (cond, -1), (a + b + cond, -1)):
+            if group:
+                ix = np.ix_(group, group)
+                value += 0.5 * w * sign * np.linalg.slogdet(cov[ix])[1] / np.log(2.0)
+                grad[ix] += 0.5 * w * sign * np.linalg.inv(cov[ix])
+    gs = grad @ cov
+    return value, np.sqrt(2.0 / n * np.trace(gs @ gs)) / np.log(2.0)
 
 
 @pytest.mark.parametrize("c2,rho", [(4.0, 0.0), (4.0, 0.64), (0.0, 0.0), (0.0, 0.64)])
 @pytest.mark.parametrize("ab", [0.0, 0.3, 1.0])
-def test_scheme_estimate_equals_a_sum_over_one_covariance(c2, rho, ab):
+def test_scheme_estimate_equals_the_covariance_form(c2, rho, ab):
     cfg = config(M=3, c2=c2, rho=rho, ab=ab, n=20_000, seed=4)
     report = verify_scheme_rate(cfg)
     system = SchemeSystem(cfg.params, ab)
+    moment = system.basis_second_moment(cfg.samples, cfg.seed)
     totals = []
     for m, (san_est, gp_est) in enumerate(report.per_receiver, start=1):
         san, gp = _scheme_sums(rho, ab, m)
         names = sorted({nm for t in san + gp for grp in t[1:] for nm in grp})
-        cov = system.empirical_cov(names, cfg.samples, cfg.seed)
+        A = system.transform(names)
+        cov = A @ moment @ A.T
 
         def estimate(terms):
-            value, grad = 0.0, np.zeros_like(cov)
-            for w, *groups in terms:
-                ix = [[names.index(g) for g in group] for group in groups]
-                value += w * gaussian_mi(cov, *ix)
-                grad += w * mi_gradient(cov, *ix)
-            return value, delta_stderr(cov, grad, cfg.samples)
+            return _covariance_form(cov, [(w, *([names.index(g) for g in group]
+                                                for group in groups))
+                                          for w, *groups in terms], cfg.samples)
 
         assert (san_est.value, san_est.stderr) == (
-            estimate(san) if san else (0.0, 1.0 / cfg.samples))
+            pytest.approx(estimate(san), rel=1e-12) if san else (0.0, 1.0 / cfg.samples))
         if gp:
-            assert (gp_est.value, gp_est.stderr) == estimate(gp)
+            assert (gp_est.value, gp_est.stderr) == pytest.approx(estimate(gp), rel=1e-12)
         else:
             assert gp_est is None
         totals.append(estimate(san + [(w / 3, *groups) for w, *groups in gp]))
-    assert (report.combined_rate, report.combined_stderr) == min(totals, key=lambda t: t[0])
+    assert (report.combined_rate, report.combined_stderr) == pytest.approx(
+        min(totals, key=lambda t: t[0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("c2", [0.0, 4.0])
+def test_gp_estimate_keeps_its_accuracy_at_large_power(c2):
+    # on the same draws the estimator is scale-free: the z-score must not move
+    # with P (a Gram matrix of variances P next to a conditional variance 1
+    # lost it: z = -20 at P = 1e15, -58,546 at 1e20)
+    def z(P):
+        return estimate_gp_rate(config(P=P, c2=c2, ab=1.0, n=100_000, seed=0)).z_score
+
+    at_1e6 = z(1e6)
+    assert abs(at_1e6) < 3
+    for P in (1e12, 1e15, 1e20):
+        assert z(P) == pytest.approx(at_1e6, abs=0.05)
+
+
+def test_scheme_estimate_keeps_its_accuracy_at_large_power():
+    report = verify_scheme_rate(config(M=3, P=1e15, c2=4.0, ab=0.5, n=100_000, seed=0))
+    assert abs(report.z_score) < 3
+
+
+def test_rank_rule_is_relative_to_each_row():
+    # equal rows are dependent; a row scaled by 1e-150 (variance 1e-300) is not
+    row = np.array([1.0, 2.0, 0.0])
+    with pytest.raises(DegenerateCovariance):
+        mc._factor({"a": row, "b": row.copy()}, ("a", "b"))
+    other = np.array([0.3, -1.0, 2.0])
+    ld, q = mc._factor({"a": row, "b": 1e-150 * other}, ("a", "b"))
+    gram = np.array([[row @ row, row @ other], [row @ other, other @ other]])
+    assert ld == pytest.approx(np.linalg.slogdet(gram)[1] + 2 * np.log(1e-150), rel=1e-14)
+    assert np.allclose(q.T @ q, np.eye(2))
 
 
 def test_scheme_with_no_power_left_in_either_layer_reports_zero():
@@ -391,7 +456,10 @@ def test_simulation_config_errors_are_ccdp_errors(over):
 def test_delta_stderr_positive_and_scales():
     p = ChannelParams(2, 10.0, 2.0, 0.0)
     sys = SchemeSystem(p, 0.0)
-    cov = sys.analytic_cov(["X_san", "Y_1"])
-    g = mi_gradient(cov, [0], [1])
-    assert delta_stderr(cov, g, 10_000) == pytest.approx(
-        10.0 * delta_stderr(cov, g, 1_000_000), rel=1e-9)
+    rows = np.linalg.cholesky(sys.analytic_cov(["X_san", "Y_1"]))
+    blocks = mi_gradient([0], [1])
+    factors = [np.linalg.qr(rows[list(k)].T)[0] for k in blocks]
+    weights = list(blocks.values())
+    assert delta_stderr(factors, weights, 10_000) > 0
+    assert delta_stderr(factors, weights, 10_000) == pytest.approx(
+        10.0 * delta_stderr(factors, weights, 1_000_000), rel=1e-9)
