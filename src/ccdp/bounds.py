@@ -23,7 +23,7 @@ Gap certification always uses the appendix forms; the theorem-statement
 variants are retained to surface where the two disagree.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from math import inf, log2, sqrt
 
 import numpy as np
@@ -93,18 +93,6 @@ class _Table(dict):
         raise ValueError(f"unknown {self.kind} {key!r}, expected one of {tuple(self)}")
 
 
-@dataclass(frozen=True, slots=True)
-class _Spec:
-    """A public bound: the model (M, rho) it applies to (None: any) and, if a
-    plane evaluates it, its breakpoints (t1, t2) at (M, P) and its pieces."""
-
-    M: int | None
-    rho: float | None
-    breaks: object   # None where no plane evaluates it
-    pieces: dict     # a _Table of each variant's pieces
-    at_2: dict       # the same at M = 2
-
-
 def _variants(bound, M, rho):
     # A public bound's pieces by variant (at_2 at M = 2), or WrongModel where its
     # model does not hold (M, rho): the one applicability rule of scalar and plane.
@@ -119,8 +107,8 @@ def _variants(bound, M, rho):
 # ---------------------------------------------------------------------------
 # Pieces: fn(M, P, c2, lg) is one branch's expression.  A public bound picks
 # the piece of its point with a plain-Python rule and calls it with
-# lg = math.log2; a plane calls it with lg = _log2_plane on the elements of its
-# branch (``_plane``).  Both run the same operations, so give the same bits.
+# lg = math.log2; a plane calls it with lg = _log2_plane on its branch's powers
+# and gains (``_plane``).  Both run the same operations, so give the same bits.
 # ---------------------------------------------------------------------------
 
 def _awgn(M, P, c2, lg):
@@ -196,35 +184,33 @@ def _baseline_outer2_high(M, P, c2, lg):
     return 0.25 * lg(1.0 + P) - 0.25 * lg(c2) + 0.25 * lg(_cross(P, c2))
 
 
-def _coded(*pieces):
-    # A bound's (label, fn, code) pieces, its branch codes computed once here.
-    return tuple((label, fn, BRANCHES.index(label)) for label, fn in pieces)
-
-
 # A bound's pieces on c2 <= t1, t1 < c2 < t2 and c2 >= t2.  Inner bounds
 # switch at t1 = M-1 and t2 = P+1, outer bounds at t1 = M-1 and
 # t2 = (M-1)(P+1); both are 1 and P+1 at M = 2.  The inner middle piece meets
 # the time-sharing rate at c2 = P+1 and falls below it beyond, so time sharing
 # takes over there: the rate stays achievable, monotone in c, and exactly 2
 # bpcu under the appendix-form outer bound on the middle branch.
-_INNER_2 = _coded((BR_LOW_2, _small_gain), (BR_MIDDLE, _inner_middle),
-                  (BR_HIGH_2, _time_sharing))
-_INNER_M = _coded((BR_LOW_M, _small_gain), (BR_MIDDLE, _inner_middle),
-                  (BR_TIME_SHARING, _time_sharing))
-_OUTER_2_STATED = _coded((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_stated_middle),
-                         (BR_HIGH_2, _outer2_high))
-_OUTER_2_LOOSENED = _coded((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_raw),
-                           (BR_HIGH_2, _outer2_high))
-_ES_OUTER_2 = _coded((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_raw),
-                     (BR_HIGH_2, _es_outer2_high))
-_OUTER_M_THEOREM = _coded((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_theorem_middle),
-                          (BR_HIGH_M, _outer_theorem_high))
-_OUTER_M_APPENDIX = _coded((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_appendix_middle),
-                           (BR_HIGH_M, _outer_appendix_high))
-_RAW_2 = _coded(*(("raw", _outer2_raw),) * 3)
+_INNER_2 = ((BR_LOW_2, _small_gain), (BR_MIDDLE, _inner_middle),
+            (BR_HIGH_2, _time_sharing))
+_INNER_M = ((BR_LOW_M, _small_gain), (BR_MIDDLE, _inner_middle),
+            (BR_TIME_SHARING, _time_sharing))
+_OUTER_2_STATED = ((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_stated_middle),
+                   (BR_HIGH_2, _outer2_high))
+_OUTER_2_LOOSENED = ((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_raw),
+                     (BR_HIGH_2, _outer2_high))
+_ES_OUTER_2 = ((BR_LOW_2, _awgn), (BR_MIDDLE, _outer2_raw),
+               (BR_HIGH_2, _es_outer2_high))
+_OUTER_M_THEOREM = ((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_theorem_middle),
+                    (BR_HIGH_M, _outer_theorem_high))
+_OUTER_M_APPENDIX = ((BR_LOW_M, _outer_small_gain), (BR_MIDDLE, _outer_appendix_middle),
+                     (BR_HIGH_M, _outer_appendix_high))
+_RAW_2 = (("raw", _outer2_raw),) * 3
 # Two pieces, on c2 < 4 and c2 >= 4 (t1 = -inf leaves the first slot unused).
-_BASELINE_OUTER_2 = _coded(*(("c2<4", _baseline_outer2_low),) * 2,
-                           ("c2>=4", _baseline_outer2_high))
+_BASELINE_OUTER_2 = (("c2<4", _baseline_outer2_low), ("c2<4", _baseline_outer2_low),
+                     ("c2>=4", _baseline_outer2_high))
+# The pieces that never read c2, which a plane runs once per power.
+_FLAT = {_awgn, _time_sharing, _outer_theorem_high, _outer_appendix_high, _outer2_high,
+         _es_outer2_high}
 
 
 def _inner_breaks(M, P):
@@ -235,10 +221,14 @@ def _outer_breaks(M, P):
     return M - 1.0, (M - 1.0) * (P + 1.0)
 
 
-# One spec per public bound.  Its scalar function checks the model here and
-# takes the same pieces (an inner bound's one variant by its tuple's name),
-# with the same breakpoints written inline; the plane tests compare the two.
-# At M = 2 a bound takes the pieces of _AT_2 for the variants it lists there.
+# One spec per public bound: the model (M, rho) it applies to (None: any), its
+# breakpoints (t1, t2) at (M, P) if a plane evaluates it, and a _Table of its
+# pieces by variant, at M = 2 too (at_2: those of _AT_2 for the variants listed
+# there).  Its scalar function checks the model here and takes the same pieces
+# (an inner bound's one variant by its tuple's name), with the same breakpoints
+# written inline; the plane tests compare the two.
+_Spec = make_dataclass("_Spec", ("M", "rho", "breaks", "pieces", "at_2"),
+                       frozen=True, slots=True)
 _OUTER_M = {THEOREM: _OUTER_M_THEOREM, APPENDIX_FORM: _OUTER_M_APPENDIX}
 _AT_2 = {"ccdp_es_outer": {THEOREM: _ES_OUTER_2}}
 _SPECS = {name: _Spec(M, rho, breaks, _Table("variant", pieces),
@@ -276,7 +266,7 @@ def baseline_outer_2(params):
     """
     pieces = _variants("baseline_outer_2", params.M, params.rho)[THEOREM]
     P, c2 = params.P, params.c2
-    label, fn, _ = pieces[1 if c2 < 4.0 else 2]
+    label, fn = pieces[1 if c2 < 4.0 else 2]
     return BoundResult(fn(2, P, c2, log2), label, THEOREM, params)
 
 
@@ -328,7 +318,7 @@ def ccdp2_outer(params, variant=THEOREM):
     P, c2 = params.P, params.c2
     if c2 <= 0.0 and variant == RAW:
         raise DomainError("raw outer bound needs c > 0")
-    label, fn, _ = pieces[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
+    label, fn = pieces[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
     return BoundResult(fn(2, P, c2, log2), label, variant, params)
 
 
@@ -339,7 +329,7 @@ def ccdp2_inner(params):
     """
     _variants("ccdp2_inner", params.M, params.rho)
     P, c2 = params.P, params.c2
-    label, fn, _ = _INNER_2[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
+    label, fn = _INNER_2[0 if c2 <= 1.0 else 1 if c2 < P + 1.0 else 2]
     return BoundResult(fn(2, P, c2, log2), label, THEOREM, params)
 
 
@@ -385,7 +375,7 @@ def ccdp_m_inner(params):
     """Optimized M-receiver inner bound; see ``_INNER_M`` for its branches."""
     _variants("ccdp_m_inner", params.M, params.rho)
     M, P, c2 = params.M, params.P, params.c2
-    label, fn, _ = _INNER_M[0 if c2 <= M - 1.0 else 1 if c2 < P + 1.0 else 2]
+    label, fn = _INNER_M[0 if c2 <= M - 1.0 else 1 if c2 < P + 1.0 else 2]
     return BoundResult(fn(M, P, c2, log2), label, THEOREM, params)
 
 
@@ -400,7 +390,7 @@ def ccdp_m_outer(params, variant=THEOREM):
     pieces = _variants("ccdp_m_outer", params.M, params.rho)[variant]
     M, P, c2 = params.M, params.P, params.c2
     t1 = M - 1.0
-    label, fn, _ = pieces[0 if c2 <= t1 else 1 if c2 < t1 * (P + 1.0) else 2]
+    label, fn = pieces[0 if c2 <= t1 else 1 if c2 < t1 * (P + 1.0) else 2]
     return BoundResult(fn(M, P, c2, log2), label, variant, params)
 
 
@@ -423,7 +413,7 @@ def ccdp_es_inner(params):
     """
     M, P = params.M, params.P
     ceff2 = params.c2 * params.rho_bar_plus
-    label, fn, _ = _INNER_M[0 if ceff2 <= M - 1.0 else 1 if ceff2 < P + 1.0 else 2]
+    label, fn = _INNER_M[0 if ceff2 <= M - 1.0 else 1 if ceff2 < P + 1.0 else 2]
     return BoundResult(fn(M, P, ceff2, log2), label, THEOREM, params)
 
 
@@ -440,7 +430,7 @@ def ccdp_es_outer(params, variant=THEOREM):
     pieces = (spec.at_2 if M == 2 else spec.pieces)[variant]
     ceff2 = params.c2 * params.rho_bar_plus
     t1 = M - 1.0
-    label, fn, _ = pieces[0 if ceff2 <= t1 else 1 if ceff2 < t1 * (P + 1.0) else 2]
+    label, fn = pieces[0 if ceff2 <= t1 else 1 if ceff2 < t1 * (P + 1.0) else 2]
     return BoundResult(fn(M, P, ceff2, log2), label, variant, params)
 
 
@@ -449,29 +439,38 @@ def ccdp_es_outer(params, variant=THEOREM):
 # ---------------------------------------------------------------------------
 
 def _log2_plane(x):
-    # math.log2 per element: np.log2 differs from it in the last ulp on
-    # 1 in 300 to 1 in 20,000 inputs, depending on their range.
-    return np.fromiter(map(log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    # math.log2 per element, over the buffer of the contiguous x.ravel(): np.log2
+    # differs from it in the last ulp on 1 in 300 to 1 in 20,000 inputs.
+    return np.fromiter(map(log2, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
 
-def _plane(bound, M, P, c, rho, variant=THEOREM):
+def _plane(bound, M, P, c, rho, variant, planes):
     """The public bound named ``bound`` at one (M, rho): (values, branch
     codes) over a column of powers P times a row of gains c, from its spec,
     at the effective gain (c*c)(1-max(rho, 0)), which is the scalar c2 itself
-    where the model fixes rho = 0.  Each piece sees only the elements of its
-    own branch, so no expression is evaluated off its branch."""
+    where the model fixes rho = 0.  A piece of _FLAT runs once on the powers
+    and is broadcast over its branch; any other sees only its branch's elements.
+    The caller's dict ``planes``, one for all planes of one P and one c (in a
+    grid call), keeps each by (bound, M, max(rho, 0), variant), all a plane
+    reads of rho; the model check runs on every call."""
     pieces = _variants(bound, M, rho)[variant]
-    c2 = (c * c) * (1.0 - max(rho, 0.0))
+    key = bound, M, max(rho, 0.0), variant
+    if key in planes:
+        return planes[key]
+    P, c2 = np.asarray(P, float), (c * c) * (1.0 - max(rho, 0.0))
     if variant == RAW and np.any(c2 <= 0.0):
         raise DomainError("raw outer bound needs c > 0")
-    t1, t2, P, c2 = np.broadcast_arrays(*_SPECS[bound].breaks(M, P), P, c2)
+    t1, t2, plane_P, c2 = np.broadcast_arrays(*_SPECS[bound].breaks(M, P), P, c2)
     low = c2 <= t1
     high = ~low & (c2 >= t2)
     values, codes = np.empty(c2.shape), np.empty(c2.shape, np.int8)
-    for mask, (_, fn, code) in zip((low, ~(low | high), high), pieces):
-        if mask.any():
-            values[mask] = fn(M, P[mask], c2[mask], _log2_plane)
-            codes[mask] = code
+    for mask, (label, fn) in zip((low, ~(low | high), high), pieces):
+        if fn in _FLAT and mask.any():
+            np.copyto(values, fn(M, P, None, _log2_plane), where=mask)
+        elif mask.any():
+            values[mask] = fn(M, plane_P[mask], c2[mask], _log2_plane)
+        codes[mask] = BRANCHES.index(label)
+    planes[key] = values, codes
     return values, codes
 
 

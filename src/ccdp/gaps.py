@@ -60,7 +60,6 @@ def bound_pair(M, rho, variant, theorem=None):
 
     theorem=None is the sweep rule: the two-receiver theorem's pair at M = 2
     with independent states, the general correlated-states pair elsewhere.
-    A plane evaluates a name with bounds._plane(name, ...).
     """
     if theorem is None:
         theorem = "Th3" if M == 2 and rho == 0.0 else "Th6"
@@ -231,6 +230,7 @@ def _evaluate_columns(grid, theorem=None):
     columns = {name: np.empty(grid.size(), dtype) for name, dtype in COLUMNS.items()}
     start = 0
     for M in sorted(grid.m_values):
+        planes = {}  # this M's planes (M is part of their key), by bounds._plane
         rhos = sorted(grid.rho_axis(M))
         shape = (P.size, c.size, len(rhos))
         block = {name: col[start:start + prod(shape)].reshape(shape)
@@ -244,10 +244,9 @@ def _evaluate_columns(grid, theorem=None):
         for k, rho in enumerate(rhos):
             inner, outer, variant = bound_pair(M, rho, grid.outer_variant, theorem)
             block["variant"][..., k] = variant
-            block["inner"][..., k], block["inner_branch"][..., k] = \
-                bounds._plane(inner, M, P, c, rho)
-            block["outer"][..., k], block["outer_branch"][..., k] = \
-                bounds._plane(outer, M, P, c, rho, variant)
+            for side, bound, v in (("inner", inner, bounds.THEOREM), ("outer", outer, variant)):
+                block[side][..., k], block[side + "_branch"][..., k] = \
+                    bounds._plane(bound, M, P, c, rho, v, planes)
         np.subtract(block["outer"], block["inner"], out=block["gap"])
     return columns
 
@@ -319,9 +318,8 @@ def fig3_curve(P, c_values):
     """
     c_opt = sqrt(ChannelParams(2, P, 0.0).P + 1.0)  # InvalidPower for a bad P
     c = np.array([ChannelParams(2, P, float(v)).c for v in c_values])  # InvalidGain
-    raw, _ = bounds._plane("ccdp2_outer", 2, P, c, 0.0, bounds.RAW)
-    optimized, _ = bounds._plane("ccdp2_outer", 2, P, np.minimum(c, c_opt), 0.0,
-                                 bounds.RAW)
+    values, _ = bounds._plane("ccdp2_outer", 2, P, np.append(c, c_opt), 0.0, bounds.RAW, {})
+    raw, optimized = values[:-1], np.where(c < c_opt, values[:-1], values[-1])
     return list(zip(c.tolist(), raw.tolist(), optimized.tolist()))
 
 
@@ -371,9 +369,10 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
     for name in families:
         bound, variant = AUDIT_FAMILIES[name]
         for M in grid.m_values:
+            planes = {}  # the planes of this family and M, by bounds._plane
             for rho in grid.rho_axis(M):
                 try:
-                    values, _ = bounds._plane(bound, M, P, c, rho, variant)
+                    values, _ = bounds._plane(bound, M, P, c, rho, variant, planes)
                 except WrongModel:
                     continue
                 increase = np.diff(values, axis=1)

@@ -34,6 +34,7 @@ from .model import (
 )
 
 LN2 = log(2.0)
+_EPS = float(np.finfo(float).eps)
 
 TARGETS = ("san", "gp", "scheme", "decomposition")
 
@@ -61,7 +62,7 @@ class MIEstimate:
     """A mutual-information estimate with its matching analytic value."""
 
     value: float        # bpcu
-    stderr: float       # bpcu, delta-method
+    stderr: float       # bpcu, delta-method, at least its round-off floor
     samples: int
     closed_form: float  # bpcu
 
@@ -91,7 +92,7 @@ def _factor(rows, block):
     sub = np.stack([rows[k] for k in block])
     q, r = np.linalg.qr(sub.T)
     diag = np.abs(np.diagonal(r))
-    if not np.all(diag > sub.shape[1] * np.finfo(float).eps * np.linalg.norm(sub, axis=1)):
+    if not np.all(diag > sub.shape[1] * _EPS * np.linalg.norm(sub, axis=1)):
         raise DegenerateCovariance(f"covariance block {list(block)} is numerically singular")
     return 2.0 * float(np.sum(np.log(diag))), q
 
@@ -266,8 +267,11 @@ def _estimate_sums(rows, sums, n):
     """Weighted sums of conditional MIs (bits) of variables with factor rows.
 
     Each sum lists (weight, a, b, cond) terms and comes back as (value,
-    delta-method stderr); each distinct block is factored once.  An empty sum is
-    a layer with zero power: rate 0, with stderr 1/n so its z-score is defined.
+    stderr); each distinct block is factored once.  The stderr is the
+    delta-method stderr, but never below the round-off floor
+    eps * sum_k |w_k * log det_k| / ln 2 of the signed sum of log-dets: a value
+    far below the log-dets it cancels is known to that floor only.  An empty sum
+    is a layer with zero power: rate 0, with stderr 1/n so its z-score is defined.
     """
     factors, results = {}, []
     for terms in sums:
@@ -278,8 +282,9 @@ def _estimate_sums(rows, sums, n):
         for block in weights:
             factors[block] = factors.get(block) or _factor(rows, block)
         value = sum(w * factors[k][0] for k, w in weights.items()) / LN2
-        se = delta_stderr([factors[k][1] for k in weights], list(weights.values()),
-                          n) if terms else 1.0 / n
+        floor = _EPS * sum(abs(w * factors[k][0]) for k, w in weights.items()) / LN2
+        se = max(delta_stderr([factors[k][1] for k in weights], list(weights.values()),
+                              n), floor) if terms else 1.0 / n
         results.append((value, se))
     return results
 

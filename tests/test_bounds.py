@@ -6,9 +6,11 @@ import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
 from math import isfinite, log2, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
@@ -39,6 +41,7 @@ from ccdp import (
     delta_conditional_variances,
     es_effective_gain,
 )
+from ccdp import bounds
 from ccdp.bounds import _inner_raw_value, _plane
 
 P2 = lambda c2, rho=0.0: ChannelParams(2, 10.0, sqrt(c2), rho)
@@ -295,7 +298,7 @@ def test_variant_outside_the_family_raises_value_error(bound, params, variant):
 ])
 def test_plane_rejects_a_variant_its_bound_lacks(bound, variant):
     with pytest.raises(ValueError, match=f"unknown variant '{variant}'"):
-        _plane(bound, 2, np.array([[10.0]]), np.array([2.0]), 0.0, variant)
+        _plane(bound, 2, np.array([[10.0]]), np.array([2.0]), 0.0, variant, {})
 
 
 def test_ccdp2_wrong_model():
@@ -606,6 +609,25 @@ def test_every_branch_equals_its_hand_value(bound, variant, M, P, c, rho,
     result = bound(params) if variant is None else bound(params, variant)
     assert result.branch == branch
     assert result.value == pytest.approx(value, abs=1e-12)
+
+
+def test_flat_pieces_are_exactly_the_pieces_that_never_read_c2(monkeypatch):
+    # Every piece of every spec, called on sympy symbols: a plane runs the
+    # pieces of _FLAT once per power, so none of them may read c2, and any
+    # other piece, the c2 >= t2 ones included, must.  _cross takes np.sqrt.
+    monkeypatch.setattr(bounds, "np", SimpleNamespace(sqrt=sp.sqrt))
+    M, P, c2 = sp.symbols("M P c2", positive=True)
+    lg = lambda x: sp.log(x, 2)
+    pieces = {fn for spec in bounds._SPECS.values() for table in (spec.pieces, spec.at_2)
+              for variant in table.values() for _, fn in variant}
+    high = {variant[2][1] for spec in bounds._SPECS.values()
+            for table in (spec.pieces, spec.at_2) for variant in table.values()}
+    assert bounds._FLAT <= pieces and high - bounds._FLAT
+    for fn in pieces:
+        reads_c2 = c2 in sp.sympify(fn(M, P, c2, lg)).free_symbols
+        assert reads_c2 == (fn not in bounds._FLAT), fn.__name__
+    for fn in bounds._FLAT:  # and they run without a gain at all
+        assert sp.simplify(fn(M, P, None, lg) - fn(M, P, c2, lg)) == 0, fn.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,20 @@ def test_subnormal_power_gives_a_finite_scheme_estimate(capsys):
     assert results["closed_form"] == 0.0 and abs(results["z_score"]) < 4
 
 
+def test_an_estimate_below_the_round_off_of_its_log_dets_keeps_an_honest_z(capsys):
+    # the information is far below the round-off of the block log-dets (about
+    # 450 nats each), so the stderr is that round-off floor, not the
+    # delta-method stderr of 6.8e-18, which gave z = 11,992
+    code, out, _ = run(capsys, "simulate", "--target", "gp", "--M", "3",
+                       "--P", "2.517486717349021e-234", "--c2", "3.1792441517161657e+197",
+                       "--rho", "-0.5", "--alpha-bar", "1", "--samples", "1000",
+                       "--seed", "93")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["closed_form"] == 0.0 and abs(results["z_score"]) < 4
+    assert 1e-14 < results["stderr"] < 1e-12
+
+
 @pytest.mark.parametrize("argv", [("--rh", "-1e-3"), ("--rh=-1e-3",), ("--rh", "0.5")])
 def test_an_abbreviated_option_is_refused(capsys, argv):
     # only the exact option names exist, the ones a negative value is joined to

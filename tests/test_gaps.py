@@ -268,12 +268,19 @@ def test_unknown_theorem_raises_value_error(call):
         call()
 
 
-def test_log2_plane_equals_math_log2():
-    # np.log2 differs from math.log2 in the last ulp on about 1 in 300 of
-    # these inputs
+@pytest.mark.parametrize("x", [
+    # np.log2 differs from math.log2 in the last ulp on about 1 in 300 of these
+    np.random.default_rng(1).uniform(0.5, 2.0, (100, 100)),
+    np.random.default_rng(2).uniform(0.5, 2.0, (7, 5)).T,  # not contiguous
+    np.random.default_rng(3).uniform(1.0, 1e6, 40)[::-3],   # negative stride
+    np.empty((0, 3)),
+    np.array(3.0),
+], ids=["random", "transposed", "reversed", "empty", "0-d"])
+def test_log2_plane_equals_math_log2(x):
     from ccdp.bounds import _log2_plane
-    x = np.random.default_rng(1).uniform(0.5, 2.0, (100, 100))
-    assert _log2_plane(x).tolist() == [[log2(v) for v in r] for r in x.tolist()]
+    y = _log2_plane(x)
+    assert y.shape == x.shape and y.dtype == np.float64
+    assert [v.item() for v in y.flat] == [log2(v) for v in x.flat]
 
 
 def test_report_rows_are_plain_python_scalars():
@@ -629,7 +636,7 @@ def test_every_audit_family_is_finite_at_the_domain_corners():
         for M in (2, 3, 2 ** 53):
             for rho in (-1.0 / (M - 1), 0.0, 1.0):
                 try:
-                    values, _ = _plane(bound, M, P, c, rho, variant)
+                    values, _ = _plane(bound, M, P, c, rho, variant, {})
                 except WrongModel:
                     continue
                 assert np.isfinite(values).all(), (bound, variant, M, rho)
@@ -645,3 +652,92 @@ def test_sweep_at_the_domain_corners_is_finite(variant):
         assert np.isfinite(report.columns[name]).all()
     if variant == "appendix":
         assert 0.0 <= report.columns["gap"].min() and report.max_gap <= 2.25 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Plane reuse: a grid call computes each (bound, M, max(rho, 0), variant) once.
+# ---------------------------------------------------------------------------
+
+def _computed_planes(monkeypatch):
+    # A count of the planes computed: calls of bounds._plane that evaluated a
+    # logarithm (a plane served from the caller's planes dict evaluates none).
+    import ccdp.bounds
+    plane, log2_plane = ccdp.bounds._plane, ccdp.bounds._log2_plane
+    count, evaluated = [0], []
+
+    def counted_log2(x):
+        evaluated.append(x.size)
+        return log2_plane(x)
+
+    def counted(*args):
+        before = len(evaluated)
+        result = plane(*args)
+        count[0] += len(evaluated) > before
+        return result
+
+    monkeypatch.setattr(ccdp.bounds, "_log2_plane", counted_log2)
+    monkeypatch.setattr(ccdp.bounds, "_plane", counted)
+    return count
+
+
+@pytest.mark.parametrize("label, call, planes", [
+    ("sweep", lambda: run_sweep(standard_grid()), 146),
+    ("Th6", lambda: certify_theorem("Th6", theorem_grid("Th6")), 144),
+    ("Th5", lambda: certify_theorem("Th5", theorem_grid("Th5")), 14),
+    ("audit", lambda: monotonicity_audit(standard_grid(), OPTIMIZED_FAMILIES), 152),
+])
+def test_a_grid_call_computes_each_plane_once(monkeypatch, label, call, planes):
+    # 182, 182, 26 and 190 planes before the reuse; the second call of the
+    # same command shares nothing with the first
+    count = _computed_planes(monkeypatch)
+    call()
+    first = count[0]
+    call()
+    assert (first, count[0] - first) == (planes, planes)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("theorem", [None, "Th5", "Th6"])
+@pytest.mark.parametrize("variant", ["appendix", "theorem-statement"])
+def test_rows_equal_the_scalar_pair_across_nonpositive_rho(theorem, variant, zero):
+    # three or more rho <= 0 per M share one plane of each bound with rho = 0;
+    # at M = 2 the rho = 0 slice takes the two-receiver pair instead
+    m_values = (2,) if theorem == "Th5" else (2, 3, 5)
+    grid = SweepGrid(m_values, (0.5, 3.0, 10.0, 1e3),
+                     (0.0, 0.5, 1.0, 2.0, 4.0, 11.0, 44.0, 1e4),
+                     (-0.25, -0.1, zero, 0.5), outer_variant=variant)
+    assert all(sum(r <= 0.0 for r in grid.rho_axis(M)) >= 3 for M in m_values)
+    report = (run_sweep(grid) if theorem is None
+              else certify_theorem(theorem, grid, variant_kind=variant))
+    assert len(report) == grid.size()
+    _assert_rows_equal_direct_calls(report, theorem, variant)
+    assert [repr(r) for r in report.columns["rho"][:4].tolist()] \
+        == ["-0.25", "-0.1", repr(zero), "0.5"]
+
+
+def test_a_fixed_rho_model_is_not_served_from_the_rho_zero_plane():
+    # rho = 0 comes first, so its planes are kept when rho = -0.3 is asked
+    grid = SweepGrid((3, 2), (10.0, 100.0), tuple(np.logspace(-1, 4, 12)), (0.0, -0.3))
+    found = monotonicity_audit(grid, ("inner-m", "outer-m-theorem", "outer-2-theorem"))
+    assert found and {v.rho for v in found} == {0.0}
+    P, c, planes = np.array([[10.0]]), np.array([1.0, 3.0]), {}
+    _plane("ccdp_m_inner", 3, P, c, 0.0, THEOREM, planes)
+    with pytest.raises(WrongModel):
+        _plane("ccdp_m_inner", 3, P, c, -0.3, THEOREM, planes)
+    assert list(planes) == [("ccdp_m_inner", 3, 0.0, THEOREM)]
+
+
+@pytest.mark.parametrize("name", ["outer-es-theorem", "outer-2-raw", "outer-m-theorem"])
+def test_audit_reports_each_violation_for_each_rho(name):
+    grid = SweepGrid((2, 3), (3.0, 10.0, 1e3), tuple(np.logspace(-1, 4, 30)),
+                     (-0.5, -0.3, -0.1, 0.0, 0.4))
+    found = [astuple(v) for v in monotonicity_audit(grid, AUDIT_FAMILIES)]
+    assert [v for v in found if v[0] == name] == _scalar_audit(grid, name)
+    if name == "outer-es-theorem":
+        # the same violations at every rho <= 0 of an M, one record each
+        for M in grid.m_values:
+            by_rho = {rho: [(v[2], v[4], v[5], v[6]) for v in found
+                            if v[:2] == (name, M) and v[3] == rho]
+                      for rho in grid.rho_axis(M) if rho <= 0.0}
+            assert len(by_rho) >= 3 and by_rho[-0.3]
+            assert all(v == by_rho[-0.3] for v in by_rho.values())

@@ -320,6 +320,20 @@ def test_scheme_estimate_equals_the_covariance_form(c2, rho, ab):
         min(totals, key=lambda t: t[0]), rel=1e-12)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-300, 0.25])
+def test_stderr_is_the_delta_method_stderr_floored_at_the_log_det_round_off(
+        monkeypatch, delta):
+    # I(X; Y) of two rows 1e-3 apart: log-dets of +-14 nats, information 6.9
+    rows = {"X": np.array([1.0, 0.0, 0.0]), "Y": np.array([1.0, 1e-3, 0.0])}
+    monkeypatch.setattr(mc, "delta_stderr", lambda *args: delta)
+    [(value, se)] = mc._estimate_sums(rows, [[(1.0, ["X"], ["Y"], [])]], 1000)
+    lds = {k: w * mc._factor(rows, k)[0] for k, w in mi_gradient(["X"], ["Y"]).items()}
+    assert value == pytest.approx(sum(lds.values()) / mc.LN2, rel=1e-12)
+    floor = mc._EPS * sum(map(abs, lds.values())) / mc.LN2
+    assert 1e-16 < floor < 1e-13
+    assert se == max(delta, floor)
+
+
 @pytest.mark.parametrize("c2", [0.0, 4.0])
 def test_gp_estimate_keeps_its_accuracy_at_large_power(c2):
     # on the same draws the estimator is scale-free: the z-score must not move
