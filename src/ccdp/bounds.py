@@ -24,7 +24,7 @@ variants are retained to surface where the two disagree.
 """
 
 from dataclasses import dataclass, make_dataclass
-from math import inf, log2, sqrt
+from math import inf, log2, nan, sqrt
 
 import numpy as np
 
@@ -460,7 +460,9 @@ def _plane(bound, M, P, c, rho, variant, planes):
     P, c2 = np.asarray(P, float), (c * c) * (1.0 - max(rho, 0.0))
     if variant == RAW and np.any(c2 <= 0.0):
         raise DomainError("raw outer bound needs c > 0")
-    t1, t2, plane_P, c2 = np.broadcast_arrays(*_SPECS[bound].breaks(M, P), P, c2)
+    # log2 of each gain once (NaN for a gain <= 0, whose log2 no piece reads)
+    t1, t2, plane_P, c2, lg_c2 = np.broadcast_arrays(
+        *_SPECS[bound].breaks(M, P), P, c2, _log2_plane(np.where(c2 > 0.0, c2, nan)))
     low = c2 <= t1
     high = ~low & (c2 >= t2)
     values, codes = np.empty(c2.shape), np.empty(c2.shape, np.int8)
@@ -468,7 +470,9 @@ def _plane(bound, M, P, c, rho, variant, planes):
         if fn in _FLAT and mask.any():
             np.copyto(values, fn(M, P, None, _log2_plane), where=mask)
         elif mask.any():
-            values[mask] = fn(M, plane_P[mask], c2[mask], _log2_plane)
+            gains, logs = c2[mask], lg_c2[mask]
+            values[mask] = fn(M, plane_P[mask], gains,
+                              lambda x: logs if x is gains else _log2_plane(x))
         codes[mask] = BRANCHES.index(label)
     planes[key] = values, codes
     return values, codes

@@ -202,8 +202,8 @@ class GapReport:
             self.argmax = self.row(i)
         if self.claimed_gap is not None:
             limit = self.claimed_gap + GAP_TOL
-            trivial = bounds._awgn(None, self.columns["P"][small], None,
-                                   bounds._log2_plane)
+            powers, index = np.unique(self.columns["P"][small], return_inverse=True)
+            trivial = bounds._awgn(None, powers, None, bounds._log2_plane)[index]
             covered = np.all((gap[small] <= limit) | (trivial <= limit))
             self.certified = bool(covered) and self.max_gap <= limit
         negatives = np.count_nonzero(gap < -GAP_TOL)
@@ -385,34 +385,43 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
 
 # ---------------------------------------------------------------------------
 # Serialization (fixed schemas; floats use shortest round-trip formatting).
-# Every numeric CSV column is formatted once per distinct value in each piece
-# of CSV_CHUNK rows, keyed on the value's bits, so the text equals repr per row.
+# A CSV piece is one join of cells that carry their own separators, a numeric
+# cell formatted once per distinct bit pattern in the piece: repr per row.
 # ---------------------------------------------------------------------------
 
-def _strings(column, fmt):
-    """fmt of every entry, computed once per distinct 64-bit pattern: equal
-    bits format alike, and 0.0 and -0.0 (or two NaNs) never share a string."""
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    values = bits.view(column.dtype).tolist()
-    return np.array([fmt(v) for v in values], object)[index].tolist()
+def _strings(column, fmt, before="", after=""):
+    """before + fmt + after of every entry, once per distinct 64-bit pattern:
+    equal bits format alike, and 0.0 and -0.0 (or two NaNs) never share one."""
+    bits = column.view(np.int64)
+    distinct = np.sort(bits)
+    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+    table = [before + fmt(v) + after for v in distinct.view(column.dtype).tolist()]
+    return np.array(table, object)[np.searchsorted(distinct, bits)].tolist()
 
 
 def _csv_pieces(report, meta=None):
     # The text of rows_to_csv in pieces of at most CSV_CHUNK rows, so a writer
-    # holds one piece of text and its fields at a time, never the whole CSV.
+    # holds one piece of text and its cells at a time, never the whole CSV.
     yield "".join(f"# {k}: {v}\n" for k, v in (meta or {}).items())
     yield ",".join(CSV_COLUMNS) + "\n"
-    labels = np.array(bounds.BRANCHES, object)
+    pairs = np.array([f"{a},{b}\n" for a in bounds.BRANCHES for b in bounds.BRANCHES], object)
     for start in range(0, len(report), CSV_CHUNK):
         chunk = {name: col[start:start + CSV_CHUNK]
                  for name, col in report.columns.items()}
-        fields = [_strings(chunk["M"], str),
-                  *(_strings(chunk[name], repr) for name in ("P", "c", "rho")),
-                  chunk["variant"].tolist(),
-                  *(_strings(chunk[name], repr) for name in ("inner", "outer", "gap")),
-                  *(labels[chunk[name]].tolist()
-                    for name in ("inner_branch", "outer_branch"))]
-        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+        # "M,P,c," once per run of rows that share its bits (rho varies fastest)
+        bits = [chunk[name].view(np.int64) for name in ("M", "P", "c")]
+        new = np.append(True, np.any([b[1:] != b[:-1] for b in bits], axis=0))
+        heads = map("".join, zip(*(_strings(chunk[name][new], fmt, after=",")
+                                   for name, fmt in (("M", str), ("P", repr), ("c", repr)))))
+        cells = [None] * (7 * len(new))
+        cells[0::7] = np.array(list(heads), object)[np.cumsum(new) - 1].tolist()
+        for k, name, before in ((1, "rho", ""), (3, "inner", ","), (4, "outer", ""),
+                                (5, "gap", "")):
+            cells[k::7] = _strings(chunk[name], repr, before, ",")
+        cells[2::7] = chunk["variant"].tolist()
+        codes = chunk["inner_branch"] * len(bounds.BRANCHES) + chunk["outer_branch"]
+        cells[6::7] = pairs[codes].tolist()
+        yield "".join(cells)
 
 
 def rows_to_csv(report, meta=None):

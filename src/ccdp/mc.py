@@ -19,6 +19,7 @@ without changing the result (partial sums are merged in block order).
 
 from dataclasses import dataclass
 from math import inf, isfinite, log, log2, nan, sqrt
+from threading import Lock
 
 import numpy as np
 
@@ -159,13 +160,37 @@ def gp_rate_closed_form(layer_power, c2, lam):
     return 0.5 * log2(num / den)
 
 
+# The moments drawn last, by (n, width, seed), least recently used first.  At
+# most _MOMENT_SLOTS are kept: 21 MB at the widest basis, 289 columns
+# (state_split_reduction at M = 16), and a few kB at the scheme's widths.
+# The lock makes each lookup and each store one step for concurrent callers.
+_MOMENTS = {}
+_MOMENT_SLOTS = 32
+_MOMENT_LOCK = Lock()
+
+
 def _second_moment(n, width, seed, threads=1):
-    """(1/n) * sum of outer products of n standard-normal rows of this width.
+    """(1/n) * sum of outer products of n standard-normal rows of this width,
+    read-only and shared by every call with the same (n, width, seed).
 
     Block b comes from the stream (seed, b).  With threads > 1 the blocks are
     drawn in parallel and their partial sums merged in block order, so the
     result does not depend on the thread count.
     """
+    key = n, width, seed
+    with _MOMENT_LOCK:
+        moment = _MOMENTS.pop(key, None)
+    if moment is None:
+        moment = _draw_moment(n, width, seed, threads)
+        moment.flags.writeable = False
+    with _MOMENT_LOCK:
+        _MOMENTS[key] = moment
+        if len(_MOMENTS) > _MOMENT_SLOTS:
+            del _MOMENTS[next(iter(_MOMENTS))]
+    return moment
+
+
+def _draw_moment(n, width, seed, threads):
     total = np.zeros((width, width))
     if threads <= 1:
         for _, block in normal_blocks(n, width, seed):

@@ -315,6 +315,7 @@ def test_strings_formats_each_bit_pattern_as_repr():
                     other_nan, 1e308, 2.5, -inf, 5e-324, -nan])
     assert _strings(col, repr) == [repr(v) for v in col.tolist()]
     assert _strings(col[1::-1], repr) == ["-0.0", "0.0"]
+    assert _strings(col, repr, ",", ",") == [f",{v!r}," for v in col.tolist()]
 
 
 @settings(max_examples=8, deadline=None)
@@ -694,6 +695,78 @@ def test_a_grid_call_computes_each_plane_once(monkeypatch, label, call, planes):
     first = count[0]
     call()
     assert (first, count[0] - first) == (planes, planes)
+
+
+def _log2_elements(monkeypatch):
+    # A count of the elements bounds._log2_plane takes the exact log2 of.
+    import ccdp.bounds
+    log2_plane, count = ccdp.bounds._log2_plane, [0]
+
+    def counted(x):
+        count[0] += x.size
+        return log2_plane(x)
+
+    monkeypatch.setattr(ccdp.bounds, "_log2_plane", counted)
+    return count
+
+
+@pytest.mark.parametrize("label, call, elements", [
+    ("sweep", lambda: run_sweep(standard_grid()), 195_366),
+    ("Th3", lambda: certify_theorem("Th3", theorem_grid("Th3")), 1_830),
+    ("Th4", lambda: certify_theorem("Th4", theorem_grid("Th4")), 14_806),
+    ("Th5", lambda: certify_theorem("Th5", theorem_grid("Th5")), 17_972),
+    ("Th6", lambda: certify_theorem("Th6", theorem_grid("Th6")), 193_536),
+    ("audit", lambda: monotonicity_audit(standard_grid(), OPTIMIZED_FAMILIES), 201_349),
+])
+def test_a_grid_call_takes_each_gains_log2_once_per_plane(monkeypatch, label, call,
+                                                           elements):
+    # 302,282, 3,360, 26,062, 28,344, 298,922 and 313,198 elements when a piece
+    # took the log2 of its own gains, element by element
+    count = _log2_elements(monkeypatch)
+    call()
+    assert count[0] == elements
+
+
+def test_finalize_takes_the_trivial_bound_once_per_distinct_power(monkeypatch):
+    # certify --theorem Th6 --P-min 0.1: 68,250 small-regime rows, 15 powers
+    axes = standard_grid()
+    grid = theorem_grid("Th6", SweepGrid(axes.m_values, tuple(np.logspace(-1, 4, 50)),
+                                         axes.c2_values))
+    report = certify_theorem("Th6", grid)
+    summary = report_summary(report)
+    count = _log2_elements(monkeypatch)
+    assert report.finalize() is report and report_summary(report) == summary
+    assert (count[0], report.small_regime_rows) == (15, 68_250)
+    # the certificate of the trivial bound taken row by row
+    small, gap, limit = report.columns["small_regime"], report.columns["gap"], 2.25 + 1e-9
+    covered = all(g <= limit or 0.5 * log2(1.0 + P) <= limit for g, P in
+                  zip(gap[small].tolist(), report.columns["P"][small].tolist()))
+    assert report.certified is (covered and report.max_gap <= limit) is True
+
+
+ZERO_GAIN_AXES = ((2, 3, 5), (0.5, 3.0, 10.0, 1e3), (0.0, 0.5, 1.0, 4.0, 11.0, 1e4),
+                  (-0.25, 0.0, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("theorem", [None, "Th5", "Th6"])
+@pytest.mark.parametrize("variant", ["appendix", "theorem-statement"])
+def test_rows_equal_the_scalar_pair_at_zero_effective_gain(theorem, variant):
+    # c2 = 0, and rho = 1 at every c2, give the effective gain 0, whose log2
+    # a plane never takes
+    m_values = (2,) if theorem == "Th5" else ZERO_GAIN_AXES[0]
+    grid = SweepGrid(m_values, *ZERO_GAIN_AXES[1:], outer_variant=variant)
+    report = (run_sweep(grid) if theorem is None
+              else certify_theorem(theorem, grid, variant_kind=variant))
+    assert len(report) == grid.size() and 1.0 in report.columns["rho"]
+    _assert_rows_equal_direct_calls(report, theorem, variant)
+
+
+@pytest.mark.parametrize("name", [name for name, (_, variant) in AUDIT_FAMILIES.items()
+                                  if variant != RAW])
+def test_audit_at_zero_effective_gain_equals_scalar_reference(name):
+    grid = SweepGrid(*ZERO_GAIN_AXES)
+    found = [astuple(v) for v in monotonicity_audit(grid, (name,))]
+    assert found == _scalar_audit(grid, name)
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])

@@ -198,17 +198,68 @@ def test_scheme_rate_correlated_with_split():
 
 def test_estimates_reproducible():
     a = estimate_san_rate(config(seed=9))
+    mc._MOMENTS.clear()  # the second estimate draws its samples again
     b = estimate_san_rate(config(seed=9))
     assert a.value == b.value and a.stderr == b.stderr
 
 
 def test_threads_do_not_change_estimate():
+    # the shared moments are cleared, so each thread count draws its own
     a = estimate_san_rate(config(seed=11), threads=1)
+    mc._MOMENTS.clear()
     b = estimate_san_rate(config(seed=11), threads=4)
     assert a.value == b.value
-    a, b = (verify_scheme_rate(config(M=3, rho=0.64, ab=0.3, n=100_000, seed=11),
-                               threads=t) for t in (1, 2))
+    runs = []
+    for threads in (1, 2):
+        mc._MOMENTS.clear()
+        runs.append(verify_scheme_rate(config(M=3, rho=0.64, ab=0.3, n=100_000, seed=11),
+                                       threads=threads))
+    a, b = runs
     assert (a.combined_rate, a.combined_stderr) == (b.combined_rate, b.combined_stderr)
+
+
+def test_second_moments_are_shared_read_only_and_bounded(monkeypatch):
+    draws = []
+    blocks = mc.normal_blocks
+
+    def counted(n, width, seed):
+        draws.append((n, width, seed))
+        return blocks(n, width, seed)
+
+    monkeypatch.setattr(mc, "normal_blocks", counted)
+    mc._MOMENTS.clear()
+    first = mc._second_moment(5000, 3, 41)
+    assert mc._second_moment(5000, 3, 41, threads=2) is first  # threads is not in the key
+    assert draws == [(5000, 3, 41)] and not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    for seed in range(mc._MOMENT_SLOTS + 5):
+        mc._second_moment(100, 2, seed)
+        mc._second_moment(5000, 3, 41)  # the most recently used stays
+    assert len(mc._MOMENTS) == mc._MOMENT_SLOTS and len(draws) == mc._MOMENT_SLOTS + 6
+    assert (5000, 3, 41) in mc._MOMENTS and (100, 2, 0) not in mc._MOMENTS
+    mc._MOMENTS.clear()
+    assert np.array_equal(mc._second_moment(5000, 3, 41, threads=2), first)
+
+
+def test_shared_second_moments_hold_under_concurrent_callers():
+    # more threads than cores, switching often: every call gets its own key's
+    # moment, and the cache never holds more than its slots
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    keys = [(200, 2, seed) for seed in range(mc._MOMENT_SLOTS + 8)]
+    mc._MOMENTS.clear()
+    want = {key: mc._draw_moment(*key, 1) for key in keys}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda key: (key, mc._second_moment(*key)), keys * 20,
+                                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(moment, want[key]) for key, moment in got)
+    assert len(mc._MOMENTS) <= mc._MOMENT_SLOTS
 
 
 def test_stderr_calibrated_against_seed_spread():
