@@ -444,20 +444,17 @@ def _log2_plane(x):
     return np.fromiter(map(log2, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
 
-def _plane(bound, M, P, c, rho, variant, planes):
-    """The public bound named ``bound`` at one (M, rho): (values, branch
-    codes) over a column of powers P times a row of gains c, from its spec,
-    at the effective gain (c*c)(1-max(rho, 0)), which is the scalar c2 itself
-    where the model fixes rho = 0.  A piece of _FLAT runs once on the powers
-    and is broadcast over its branch; any other sees only its branch's elements.
-    The caller's dict ``planes``, one for all planes of one P and one c (in a
-    grid call), keeps each by (bound, M, max(rho, 0), variant), all a plane
-    reads of rho; the model check runs on every call."""
-    pieces = _variants(bound, M, rho)[variant]
-    key = bound, M, max(rho, 0.0), variant
-    if key in planes:
-        return planes[key]
-    P, c2 = np.asarray(P, float), (c * c) * (1.0 - max(rho, 0.0))
+def _plane(bound, M, P, c, rhos, variant):
+    """The public bound named ``bound`` at M and each rho of ``rhos``: (values,
+    branch codes) of shape (powers P, gains c, rhos), from its spec, at the
+    effective gains (c*c)(1-max(rho, 0)), the scalar c2 where the model fixes
+    rho = 0.  Each distinct max(rho, 0) is evaluated once and a piece of _FLAT
+    once on the powers; any other piece sees only its branch's elements.  The
+    model check runs for every rho."""
+    for rho in rhos:
+        pieces = _variants(bound, M, rho)[variant]
+    scales, index = np.unique(1.0 - np.maximum(rhos, 0.0), return_inverse=True)
+    P, c2 = np.asarray(P, float).reshape(-1, 1, 1), (c * c)[:, None] * scales
     if variant == RAW and np.any(c2 <= 0.0):
         raise DomainError("raw outer bound needs c > 0")
     # log2 of each gain once (NaN for a gain <= 0, whose log2 no piece reads)
@@ -474,8 +471,7 @@ def _plane(bound, M, P, c, rho, variant, planes):
             values[mask] = fn(M, plane_P[mask], gains,
                               lambda x: logs if x is gains else _log2_plane(x))
         codes[mask] = BRANCHES.index(label)
-    planes[key] = values, codes
-    return values, codes
+    return values[..., index], codes[..., index]
 
 
 # ---------------------------------------------------------------------------

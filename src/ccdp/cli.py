@@ -411,6 +411,7 @@ def cmd_simulate(resolved):
         results = {
             "combined_rate": report.combined_rate,
             "combined_stderr": report.combined_stderr,
+            "min_rate": report.min_rate,
             "closed_form": report.closed_form,
             "z_score": report.z_score,
             "per_receiver": [
@@ -421,7 +422,7 @@ def cmd_simulate(resolved):
     elif target == "decomposition":
         decomp = decompose_states(params)
         err = mc.verify_decomposition_stats(decomp, resolved["samples"],
-                                            resolved["seed"])
+                                            resolved["seed"], threads)
         results = {"kind": decomp.kind,
                    "coefficients": {k: float(v)
                                     for k, v in decomp.coefficients.items()},

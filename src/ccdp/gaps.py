@@ -220,9 +220,9 @@ def _evaluate_columns(grid, theorem=None):
     """Columns of every feasible grid point, rows lexicographic in
     (M, P, c2, rho).
 
-    Each (M, rho) slice is one P x c2 plane of each bound of the pair
-    ``bound_pair`` picks for it; the variant column records the outer bound
-    variant actually evaluated.
+    The rho of one M that ``bound_pair`` gives one pair are one P x c2 x rho
+    slab of each bound of the pair; the variant column records the outer
+    bound variant actually evaluated.
     """
     P = np.array(sorted(grid.p_values))[:, None]
     c2 = np.array(sorted(grid.c2_values))
@@ -230,7 +230,6 @@ def _evaluate_columns(grid, theorem=None):
     columns = {name: np.empty(grid.size(), dtype) for name, dtype in COLUMNS.items()}
     start = 0
     for M in sorted(grid.m_values):
-        planes = {}  # this M's planes (M is part of their key), by bounds._plane
         rhos = sorted(grid.rho_axis(M))
         shape = (P.size, c.size, len(rhos))
         block = {name: col[start:start + prod(shape)].reshape(shape)
@@ -241,12 +240,14 @@ def _evaluate_columns(grid, theorem=None):
         block["c"][...] = c[:, None]
         block["rho"][...] = rhos
         block["small_regime"][...] = ((P <= SMALL_P) | (c2 <= SMALL_C2))[..., None]
-        for k, rho in enumerate(rhos):
-            inner, outer, variant = bound_pair(M, rho, grid.outer_variant, theorem)
-            block["variant"][..., k] = variant
+        pairs = [bound_pair(M, rho, grid.outer_variant, theorem) for rho in rhos]
+        for inner, outer, variant in dict.fromkeys(pairs):
+            ks = [k for k, pair in enumerate(pairs) if pair == (inner, outer, variant)]
+            at = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == len(ks) - 1 else ks
+            block["variant"][..., at] = variant
             for side, bound, v in (("inner", inner, bounds.THEOREM), ("outer", outer, variant)):
-                block[side][..., k], block[side + "_branch"][..., k] = \
-                    bounds._plane(bound, M, P, c, rho, v, planes)
+                block[side][..., at], block[side + "_branch"][..., at] = \
+                    bounds._plane(bound, M, P, c, [rhos[k] for k in ks], v)
         np.subtract(block["outer"], block["inner"], out=block["gap"])
     return columns
 
@@ -318,7 +319,8 @@ def fig3_curve(P, c_values):
     """
     c_opt = sqrt(ChannelParams(2, P, 0.0).P + 1.0)  # InvalidPower for a bad P
     c = np.array([ChannelParams(2, P, float(v)).c for v in c_values])  # InvalidGain
-    values, _ = bounds._plane("ccdp2_outer", 2, P, np.append(c, c_opt), 0.0, bounds.RAW, {})
+    slab, _ = bounds._plane("ccdp2_outer", 2, P, np.append(c, c_opt), [0.0], bounds.RAW)
+    values = slab.ravel()  # one power, one rho
     raw, optimized = values[:-1], np.where(c < c_opt, values[:-1], values[-1])
     return list(zip(c.tolist(), raw.tolist(), optimized.tolist()))
 
@@ -358,28 +360,28 @@ class MonotonicityViolation:
 def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
     """Scan each family for value increases along the c axis.
 
-    Each (M, rho) slice is one P x c2 plane in grid P order; slices where a
-    family does not apply (WrongModel: wrong M or rho) are skipped.  Any
-    adjacent-pair increase beyond MONOTONE_TOL is returned as a violation
-    record, never raised, in (family, M, rho, P, c) order.
+    Each family and M is one P x c2 x rho slab, in grid P and rho order, over
+    the rho where the family's model holds (its bound's spec: M and rho, None
+    for any).  Any adjacent-pair increase beyond MONOTONE_TOL is returned as a
+    violation record, never raised, in (family, M, rho, P, c) order.
     """
     violations = []
     P = np.array(grid.p_values)[:, None]
     c = np.sqrt(sorted(grid.c2_values))
     for name in families:
         bound, variant = AUDIT_FAMILIES[name]
+        model = bounds._SPECS[bound]
         for M in grid.m_values:
-            planes = {}  # the planes of this family and M, by bounds._plane
-            for rho in grid.rho_axis(M):
-                try:
-                    values, _ = bounds._plane(bound, M, P, c, rho, variant, planes)
-                except WrongModel:
-                    continue
-                increase = np.diff(values, axis=1)
-                for i, k in zip(*np.nonzero(increase > MONOTONE_TOL)):
-                    violations.append(MonotonicityViolation(
-                        name, M, P.item(i), rho, c.item(k), c.item(k + 1),
-                        increase.item(i, k)))
+            rhos = [rho for rho in grid.rho_axis(M)
+                    if model.M in (None, M) and model.rho in (None, rho)]
+            if not rhos:
+                continue
+            values, _ = bounds._plane(bound, M, P, c, rhos, variant)
+            increase = np.diff(values.transpose(2, 0, 1), axis=2)
+            for j, i, k in zip(*np.nonzero(increase > MONOTONE_TOL)):
+                violations.append(MonotonicityViolation(
+                    name, M, P.item(i), rhos[j], c.item(k), c.item(k + 1),
+                    increase.item(j, i, k)))
     return violations
 
 

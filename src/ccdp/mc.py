@@ -367,10 +367,11 @@ class SchemeRateReport:
     """Per-receiver layer estimates and the combined achievable rate."""
 
     per_receiver: tuple     # (san_estimate, gp_estimate or None) per receiver
-    combined_rate: float    # min over receivers of san + gp/M
-    combined_stderr: float  # stderr of the minimizing receiver's sum
+    combined_rate: float    # mean over receivers of san + gp/M
+    combined_stderr: float  # joint delta-method stderr of that mean
     closed_form: float      # matching analytic combined rate
     samples: int
+    min_rate: float         # min over receivers of san + gp/M
 
     @property
     def z_score(self):
@@ -384,6 +385,10 @@ def verify_scheme_rate(config, threads=1):
     correlated states, and as a pre-coded rate against the common state
     component when rho > 0.  Each receiver's pre-coded layer contributes
     1/M of its rate (time sharing is exact bookkeeping, applied analytically).
+    The receivers are statistically equivalent, so the combined rate is the
+    mean of their rates: one sum of every receiver's terms, each weighted 1/M,
+    whose delta-method stderr accounts for the receivers' shared samples.  The
+    minimum over receivers, a biased-low estimate, is kept as ``min_rate``.
     """
     p, ab, n, seed = config.params, config.alpha_bar, config.samples, config.seed
     M = p.M
@@ -399,8 +404,7 @@ def verify_scheme_rate(config, threads=1):
     san_closed = _san_rate(p.P, ceff2, ab)
     gp_closed = 0.5 * log2(1.0 + ab_power)
 
-    per_receiver = []
-    combined = []
+    sums = []  # per receiver: its rate san + gp/M, san and gp
     for m in range(1, M + 1):
         y, u, s = system.receiver(m)
         terms_san = [] if a_power == 0 else (
@@ -408,20 +412,21 @@ def verify_scheme_rate(config, threads=1):
             else [(1.0, ["X_san"], [y], [])])
         cond = ["X_san"] if a_power > 0 else []
         terms_gp = [(1.0, [y], [u], cond), (-1.0, [u], [s], [])] if ab_power > 0 else []
+        sums += [terms_san + [(w / M, a, b, c) for (w, a, b, c) in terms_gp],
+                 terms_san, terms_gp]
 
-        scaled = terms_san + [(w / M, a, b, c) for (w, a, b, c) in terms_gp]
-        total, san, gp = _estimate_sums(rows, [scaled, terms_san, terms_gp], n)
-        per_receiver.append((MIEstimate(*san, n, san_closed),
-                             MIEstimate(*gp, n, gp_closed) if terms_gp else None))
-        combined.append(total)
-
-    best = min(range(M), key=lambda i: combined[i][0])
+    mean = [(w / M, a, b, c) for terms in sums[0::3] for (w, a, b, c) in terms]
+    combined, *results = _estimate_sums(rows, [mean] + sums, n)
+    per_receiver = [(MIEstimate(*san, n, san_closed),
+                     MIEstimate(*gp, n, gp_closed) if ab_power > 0 else None)
+                    for san, gp in zip(results[1::3], results[2::3])]
     return SchemeRateReport(
         per_receiver=tuple(per_receiver),
-        combined_rate=combined[best][0],
-        combined_stderr=combined[best][1],
+        combined_rate=combined[0],
+        combined_stderr=combined[1],
         closed_form=_inner_raw_value(M, p.P, ceff2, ab),
         samples=n,
+        min_rate=min(total for total, _ in results[0::3]),
     )
 
 
@@ -446,12 +451,12 @@ def gp_rate_lambda_profile(config, lambdas, receiver=1, threads=1):
     return np.asarray(values)
 
 
-def verify_decomposition_stats(decomp, n, seed):
+def verify_decomposition_stats(decomp, n, seed, threads=1):
     """Max absolute deviation of the empirical state covariance from its target."""
     if n < 10_000:
         raise CcdpError(f"need n >= 10000, got {n}")
     W, _ = decomp.mixing_matrix()
-    emp = W @ _second_moment(n, W.shape[1], seed) @ W.T
+    emp = W @ _second_moment(n, W.shape[1], seed, threads) @ W.T
     target = state_covariance(decomp.M, decomp.rho).entries
     return float(np.max(np.abs(emp - target)))
 

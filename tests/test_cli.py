@@ -588,6 +588,25 @@ def test_threads_env_not_integer(capsys, tmp_path, monkeypatch):
     assert code == 0 and "\nthreads = " not in cfg.read_text()
 
 
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_simulate_decomposition_draws_with_the_thread_count(capsys, monkeypatch, how):
+    from ccdp import mc
+    seen, draw = [], mc._draw_moment
+    monkeypatch.setattr(mc, "_draw_moment",
+                        lambda *args: seen.append(args[-1]) or draw(*args))
+    outs = []
+    for threads in ("1", "2"):
+        mc._MOMENTS.clear()  # each thread count draws its own samples
+        flags = ("--threads", threads) if how == "flag" else ()
+        monkeypatch.setenv("CCDP_THREADS", threads if how == "env" else "1")
+        code, out, _ = run(capsys, "simulate", "--target", "decomposition", "--M", "3",
+                           "--rho", "0.5", "--c2", "1", "--samples", "70000", *flags)
+        assert code == 0
+        outs.append(json.loads(out)["results"])
+    mc._MOMENTS.clear()
+    assert seen == [1, 2] and outs[0] == outs[1]
+
+
 def test_config_with_threads_for_sweep_rejected(capsys, tmp_path):
     cfg = tmp_path / "old.cfg"
     cfg.write_text("command = sweep\nM-values = 2\nthreads = 1\n")

@@ -36,7 +36,7 @@ from ccdp import (
     standard_grid,
     theorem_grid,
 )
-from ccdp.bounds import _plane
+from ccdp.bounds import _plane, _variants
 from ccdp.gaps import (
     AUDIT_FAMILIES,
     CSV_CHUNK,
@@ -630,17 +630,53 @@ def test_grid_axes_stop_at_the_domain_ceilings(axes, error):
         SweepGrid(*axes)
 
 
+def _model_rhos(bound, M, rhos):
+    # the rhos of the list at which the bound's model holds at M
+    def holds(rho):
+        try:
+            _variants(bound, M, rho)
+        except WrongModel:
+            return False
+        return True
+    return [rho for rho in rhos if holds(rho)]
+
+
+CORNER_P = np.array([5e-324, 1.0, 1e280])[:, None]
+CORNER_C = np.array([3e-162, 1.0, 2.0, 1e140])
+
+
 def test_every_audit_family_is_finite_at_the_domain_corners():
-    P = np.array([5e-324, 1.0, 1e280])[:, None]
-    c = np.array([3e-162, 1.0, 2.0, 1e140])
     for bound, variant in AUDIT_FAMILIES.values():
         for M in (2, 3, 2 ** 53):
-            for rho in (-1.0 / (M - 1), 0.0, 1.0):
-                try:
-                    values, _ = _plane(bound, M, P, c, rho, variant, {})
-                except WrongModel:
-                    continue
-                assert np.isfinite(values).all(), (bound, variant, M, rho)
+            rhos = _model_rhos(bound, M, (-1.0 / (M - 1), 0.0, 1.0))
+            if rhos:
+                values, _ = _plane(bound, M, CORNER_P, CORNER_C, rhos, variant)
+                assert values.shape == (3, 4, len(rhos))
+                assert np.isfinite(values).all(), (bound, variant, M, rhos)
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_FAMILIES))
+def test_a_slab_equals_the_one_rho_slab_of_each_of_its_rhos(name):
+    # -0.0 and 0.0, several rho <= 0 (one effective gain), a repeated rho,
+    # rho = 1 (effective gain 0) and the domain corners; out of order
+    bound, variant = AUDIT_FAMILIES[name]
+    P = np.vstack([CORNER_P, [[3.01], [1e4]]])
+    c = np.sort(np.append(CORNER_C, [0.5, 1.7, 3.0, 1e3]))
+    slabs = 0
+    for M in (2, 3, 5, 2 ** 53):
+        rhos = _model_rhos(bound, M, (0.5, -0.0, -1.0 / (M - 1), 1.0, 0.0, -0.1, 0.5,
+                                      1e-300, 0.0, 0.25))
+        if not rhos:
+            continue
+        slabs += 1
+        assert len(rhos) >= 3 and {repr(rho) for rho in rhos} >= {"0.0", "-0.0"}
+        values, codes = _plane(bound, M, P, c, rhos, variant)
+        assert values.shape == codes.shape == (P.size, c.size, len(rhos))
+        for k, rho in enumerate(rhos):
+            one, one_codes = _plane(bound, M, P, c, [rho], variant)
+            assert values[..., k].tobytes() == one[..., 0].tobytes(), (M, rho)
+            assert codes[..., k].tobytes() == one_codes[..., 0].tobytes(), (M, rho)
+    assert slabs >= 1
 
 
 @pytest.mark.parametrize("variant", ["appendix", "theorem-statement"])
@@ -656,12 +692,12 @@ def test_sweep_at_the_domain_corners_is_finite(variant):
 
 
 # ---------------------------------------------------------------------------
-# Plane reuse: a grid call computes each (bound, M, max(rho, 0), variant) once.
+# Slabs: a grid call evaluates each bound once per M over its rho axis.
 # ---------------------------------------------------------------------------
 
 def _computed_planes(monkeypatch):
-    # A count of the planes computed: calls of bounds._plane that evaluated a
-    # logarithm (a plane served from the caller's planes dict evaluates none).
+    # A count of the slabs computed: calls of bounds._plane that evaluated a
+    # logarithm.
     import ccdp.bounds
     plane, log2_plane = ccdp.bounds._plane, ccdp.bounds._log2_plane
     count, evaluated = [0], []
@@ -682,14 +718,16 @@ def _computed_planes(monkeypatch):
 
 
 @pytest.mark.parametrize("label, call, planes", [
-    ("sweep", lambda: run_sweep(standard_grid()), 146),
-    ("Th6", lambda: certify_theorem("Th6", theorem_grid("Th6")), 144),
-    ("Th5", lambda: certify_theorem("Th5", theorem_grid("Th5")), 14),
-    ("audit", lambda: monotonicity_audit(standard_grid(), OPTIMIZED_FAMILIES), 152),
+    ("sweep", lambda: run_sweep(standard_grid()), 16),
+    ("Th6", lambda: certify_theorem("Th6", theorem_grid("Th6")), 14),
+    ("Th5", lambda: certify_theorem("Th5", theorem_grid("Th5")), 2),
+    ("audit", lambda: monotonicity_audit(standard_grid(), OPTIMIZED_FAMILIES), 22),
 ])
 def test_a_grid_call_computes_each_plane_once(monkeypatch, label, call, planes):
-    # 182, 182, 26 and 190 planes before the reuse; the second call of the
-    # same command shares nothing with the first
+    # one slab per (bound, M, variant) over the rho that share a bound pair
+    # (the sweep's rho = 0 at M = 2 is its own); 146, 144, 14 and 152 planes
+    # of one (M, max(rho, 0)) each, 182, 182, 26 and 190 of one (M, rho); the
+    # second call of the same command shares nothing with the first
     count = _computed_planes(monkeypatch)
     call()
     first = count[0]
@@ -711,17 +749,19 @@ def _log2_elements(monkeypatch):
 
 
 @pytest.mark.parametrize("label, call, elements", [
-    ("sweep", lambda: run_sweep(standard_grid()), 195_366),
+    ("sweep", lambda: run_sweep(standard_grid()), 186_666),
     ("Th3", lambda: certify_theorem("Th3", theorem_grid("Th3")), 1_830),
     ("Th4", lambda: certify_theorem("Th4", theorem_grid("Th4")), 14_806),
-    ("Th5", lambda: certify_theorem("Th5", theorem_grid("Th5")), 17_972),
-    ("Th6", lambda: certify_theorem("Th6", theorem_grid("Th6")), 193_536),
-    ("audit", lambda: monotonicity_audit(standard_grid(), OPTIMIZED_FAMILIES), 201_349),
+    ("Th5", lambda: certify_theorem("Th5", theorem_grid("Th5")), 17_222),
+    ("Th6", lambda: certify_theorem("Th6", theorem_grid("Th6")), 184_836),
+    ("audit", lambda: monotonicity_audit(standard_grid(), OPTIMIZED_FAMILIES), 192_649),
 ])
 def test_a_grid_call_takes_each_gains_log2_once_per_plane(monkeypatch, label, call,
                                                            elements):
-    # 302,282, 3,360, 26,062, 28,344, 298,922 and 313,198 elements when a piece
-    # took the log2 of its own gains, element by element
+    # 195,366, 1,830, 14,806, 17,972, 193,536 and 201,349 elements when a
+    # gain-flat piece ran once per (M, max(rho, 0)) plane, not once per slab;
+    # 302,282, 3,360, 26,062, 28,344, 298,922 and 313,198 when a piece took
+    # the log2 of its own gains, element by element
     count = _log2_elements(monkeypatch)
     call()
     assert count[0] == elements
@@ -789,15 +829,14 @@ def test_rows_equal_the_scalar_pair_across_nonpositive_rho(theorem, variant, zer
 
 
 def test_a_fixed_rho_model_is_not_served_from_the_rho_zero_plane():
-    # rho = 0 comes first, so its planes are kept when rho = -0.3 is asked
+    # rho = 0 and rho = -0.3 share the effective gain, but only rho = 0 is
+    # in the model of a fixed-rho bound
     grid = SweepGrid((3, 2), (10.0, 100.0), tuple(np.logspace(-1, 4, 12)), (0.0, -0.3))
     found = monotonicity_audit(grid, ("inner-m", "outer-m-theorem", "outer-2-theorem"))
     assert found and {v.rho for v in found} == {0.0}
-    P, c, planes = np.array([[10.0]]), np.array([1.0, 3.0]), {}
-    _plane("ccdp_m_inner", 3, P, c, 0.0, THEOREM, planes)
     with pytest.raises(WrongModel):
-        _plane("ccdp_m_inner", 3, P, c, -0.3, THEOREM, planes)
-    assert list(planes) == [("ccdp_m_inner", 3, 0.0, THEOREM)]
+        _plane("ccdp_m_inner", 3, np.array([[10.0]]), np.array([1.0, 3.0]), [0.0, -0.3],
+               THEOREM)
 
 
 @pytest.mark.parametrize("name", ["outer-es-theorem", "outer-2-raw", "outer-m-theorem"])

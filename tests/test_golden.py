@@ -1,0 +1,46 @@
+"""Golden outputs: the bytes of the standard grid commands.
+
+Each case runs ``cli.main`` into a temporary file and pins the sha256 of the
+file's text after its leading ``# key: value`` metadata lines, so a version
+bump (which changes ``tool_version`` and the config hash) does not break it.
+
+The digests depend on the libm ``log2`` that ``math.log2`` calls, which every
+bound reads through: they were taken in the reference image (Debian 12,
+glibc 2.36, x86-64, Python 3.11.7, numpy 2.4.6).  A libm whose ``log2``
+rounds one input differently changes a digest without any change to ccdp.
+"""
+
+import hashlib
+
+import pytest
+
+from ccdp import cli
+
+GOLDEN = {
+    "sweep": ((), "64d4f9e50fed7bdf4ec2114f6d7db123dcee2a9049e5bcb4128f447205eefd9e"),
+    "sweep-theorem": (("--outer-variant", "theorem-statement"),
+                      "ff5daff40177c8c7a327d205b8a856b7b039efe774a593056a7792dff7b88f3d"),
+    "audit-optimized": (("--families", "optimized"),
+                        "53688f5b58a33ed39b0538a2b1904a705e1f30f13cf7ab35803499bc7760e994"),
+    "audit-all": (("--families", "all"),
+                  "673f7f44ea565798496c205c7e25fef3945361b75b9350c9e222152e2096554d"),
+    "fig3": ((), "5630271b0a3f0f261f11cad89d19a2bf4bedfc96a15f32d370b2219c1ed92d73"),
+}
+
+
+def _body(text):
+    # the text after the leading '#' lines
+    start = 0
+    while text.startswith("#", start):
+        start = text.index("\n", start) + 1
+    return text[start:]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_standard_command_output_is_golden(tmp_path, case):
+    args, digest = GOLDEN[case]
+    out = tmp_path / f"{case}.csv"
+    assert cli.main([case.split("-")[0], *args, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.startswith("# tool_version: ")
+    assert hashlib.sha256(_body(text).encode()).hexdigest() == digest

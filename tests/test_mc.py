@@ -216,6 +216,24 @@ def test_threads_do_not_change_estimate():
                                        threads=threads))
     a, b = runs
     assert (a.combined_rate, a.combined_stderr) == (b.combined_rate, b.combined_stderr)
+    decomposition = decompose_states(ChannelParams(4, 1.0, 1.0, 0.3))
+    runs = []
+    for threads in (1, 2):
+        mc._MOMENTS.clear()
+        runs.append(verify_decomposition_stats(decomposition, 70_000, 11, threads=threads))
+    mc._MOMENTS.clear()
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("M, rho, ab", [(3, 0.0, 0.5), (4, 0.0, 0.5), (8, 0.0, 0.5),
+                                        (3, 0.64, 0.0)])
+def test_scheme_z_score_is_calibrated_over_seeds(M, rho, ab):
+    # the mean over statistically equivalent receivers with its joint stderr;
+    # the minimum over receivers with its own stderr had mean z -0.5 to -0.8
+    zs = [verify_scheme_rate(config(M=M, rho=rho, ab=ab, n=1000, seed=s)).z_score
+          for s in range(250)]
+    mc._MOMENTS.clear()
+    assert abs(np.mean(zs)) <= 0.2 and 0.85 <= np.std(zs, ddof=1) <= 1.15
 
 
 def test_second_moments_are_shared_read_only_and_bounded(monkeypatch):
@@ -307,10 +325,10 @@ def test_scheme_builds_one_factor_and_factors_each_block_once(monkeypatch, rho):
     monkeypatch.setattr(mc, "_factor", counted_factor)
     M = 3
     verify_scheme_rate(config(M=M, rho=rho, ab=0.3, n=1000))
-    assert len(choleskys) == 1 and len(receivers) == M
-    want = sum(len({k for _, *groups in sum(_scheme_sums(rho, 0.3, m), [])
-                    for k in mi_gradient(*groups)}) for m in range(1, M + 1))
-    assert len(blocks) == len(set(blocks)) == want
+    assert len(choleskys) == 1 and len(receivers) == 1
+    want = {k for m in range(1, M + 1) for _, *groups in sum(_scheme_sums(rho, 0.3, m), [])
+            for k in mi_gradient(*groups)}
+    assert len(blocks) == len(set(blocks)) == len(want)
 
 
 def test_scheme_calls_the_traced_functional_once_per_sum(monkeypatch):
@@ -324,7 +342,9 @@ def test_scheme_calls_the_traced_functional_once_per_sum(monkeypatch):
     M = 3
     verify_scheme_rate(config(M=M, ab=0.3, n=1000))
     san, gp = _scheme_sums(0.0, 0.3, 1)
-    assert calls == {"mi_gradient": M * 2 * (len(san) + len(gp)), "delta_stderr": M * 3}
+    # each receiver's sum, san and gp, and the mean of the receivers' sums
+    assert calls == {"mi_gradient": M * 3 * (len(san) + len(gp)),
+                     "delta_stderr": M * 3 + 1}
 
 
 def _covariance_form(cov, terms, n):
@@ -348,27 +368,30 @@ def test_scheme_estimate_equals_the_covariance_form(c2, rho, ab):
     report = verify_scheme_rate(cfg)
     system = SchemeSystem(cfg.params, ab)
     moment = system.basis_second_moment(cfg.samples, cfg.seed)
-    totals = []
+    names = sorted(system.rows)
+    A = system.transform(names)
+    cov = A @ moment @ A.T
+
+    def estimate(terms):
+        return _covariance_form(cov, [(w, *([names.index(g) for g in group]
+                                            for group in groups))
+                                      for w, *groups in terms], cfg.samples)
+
+    totals, mean = [], []
     for m, (san_est, gp_est) in enumerate(report.per_receiver, start=1):
         san, gp = _scheme_sums(rho, ab, m)
-        names = sorted({nm for t in san + gp for grp in t[1:] for nm in grp})
-        A = system.transform(names)
-        cov = A @ moment @ A.T
-
-        def estimate(terms):
-            return _covariance_form(cov, [(w, *([names.index(g) for g in group]
-                                                for group in groups))
-                                          for w, *groups in terms], cfg.samples)
-
         assert (san_est.value, san_est.stderr) == (
             pytest.approx(estimate(san), rel=1e-12) if san else (0.0, 1.0 / cfg.samples))
         if gp:
             assert (gp_est.value, gp_est.stderr) == pytest.approx(estimate(gp), rel=1e-12)
         else:
             assert gp_est is None
-        totals.append(estimate(san + [(w / 3, *groups) for w, *groups in gp]))
-    assert (report.combined_rate, report.combined_stderr) == pytest.approx(
-        min(totals, key=lambda t: t[0]), rel=1e-12)
+        total = san + [(w / 3, *groups) for w, *groups in gp]
+        totals.append(estimate(total)[0])
+        mean += [(w / 3, *groups) for w, *groups in total]
+    assert report.min_rate == pytest.approx(min(totals), rel=1e-12)
+    assert (report.combined_rate, report.combined_stderr) == (
+        pytest.approx(estimate(mean), rel=1e-12) if mean else (0.0, 1.0 / cfg.samples))
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-300, 0.25])
