@@ -93,14 +93,20 @@ class _Table(dict):
         raise ValueError(f"unknown {self.kind} {key!r}, expected one of {tuple(self)}")
 
 
+def _applies(bound, M, rho):
+    # Whether a public bound's model holds at (M, rho): its spec's M and rho, None
+    # for any.  The one applicability rule of scalar, slab and audit.
+    spec = _SPECS[bound]
+    return spec.M in (None, M) and spec.rho in (None, rho)
+
+
 def _variants(bound, M, rho):
     # A public bound's pieces by variant (at_2 at M = 2), or WrongModel where its
-    # model does not hold (M, rho): the one applicability rule of scalar and plane.
+    # model does not hold (M, rho).
     spec = _SPECS[bound]
-    if spec.M is not None and M != spec.M:
-        raise WrongModel(f"bound requires M={spec.M}, got M={M}")
-    if spec.rho is not None and rho != spec.rho:
-        raise WrongModel(f"bound requires rho={spec.rho}, got rho={rho}")
+    if not _applies(bound, M, rho):
+        raise WrongModel(f"bound requires M={spec.M}, got M={M}" if spec.M not in (None, M)
+                         else f"bound requires rho={spec.rho}, got rho={rho}")
     return spec.at_2 if M == 2 else spec.pieces
 
 
@@ -445,14 +451,15 @@ def _log2_plane(x):
 
 
 def _plane(bound, M, P, c, rhos, variant):
-    """The public bound named ``bound`` at M and each rho of ``rhos``: (values,
-    branch codes) of shape (powers P, gains c, rhos), from its spec, at the
-    effective gains (c*c)(1-max(rho, 0)), the scalar c2 where the model fixes
-    rho = 0.  Each distinct max(rho, 0) is evaluated once and a piece of _FLAT
-    once on the powers; any other piece sees only its branch's elements.  The
-    model check runs for every rho."""
+    """The public bound named ``bound`` at M and each rho of the non-empty list
+    ``rhos``: (values, branch codes) of shape (powers P, gains c, rhos), from its
+    spec, at the effective gains (c*c)(1-max(rho, 0)), the scalar c2 where the
+    model fixes rho = 0.  Each distinct max(rho, 0) is evaluated once and a piece
+    of _FLAT once on the powers; any other piece sees only its branch's elements.
+    The model check runs for every rho; the pieces depend on M alone."""
     for rho in rhos:
-        pieces = _variants(bound, M, rho)[variant]
+        _variants(bound, M, rho)
+    pieces = _variants(bound, M, rhos[0])[variant]
     scales, index = np.unique(1.0 - np.maximum(rhos, 0.0), return_inverse=True)
     P, c2 = np.asarray(P, float).reshape(-1, 1, 1), (c * c)[:, None] * scales
     if variant == RAW and np.any(c2 <= 0.0):

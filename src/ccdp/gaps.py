@@ -243,10 +243,9 @@ def _evaluate_columns(grid, theorem=None):
         pairs = [bound_pair(M, rho, grid.outer_variant, theorem) for rho in rhos]
         for inner, outer, variant in dict.fromkeys(pairs):
             ks = [k for k, pair in enumerate(pairs) if pair == (inner, outer, variant)]
-            at = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == len(ks) - 1 else ks
-            block["variant"][..., at] = variant
+            block["variant"][..., ks] = variant
             for side, bound, v in (("inner", inner, bounds.THEOREM), ("outer", outer, variant)):
-                block[side][..., at], block[side + "_branch"][..., at] = \
+                block[side][..., ks], block[side + "_branch"][..., ks] = \
                     bounds._plane(bound, M, P, c, [rhos[k] for k in ks], v)
         np.subtract(block["outer"], block["inner"], out=block["gap"])
     return columns
@@ -361,19 +360,17 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
     """Scan each family for value increases along the c axis.
 
     Each family and M is one P x c2 x rho slab, in grid P and rho order, over
-    the rho where the family's model holds (its bound's spec: M and rho, None
-    for any).  Any adjacent-pair increase beyond MONOTONE_TOL is returned as a
-    violation record, never raised, in (family, M, rho, P, c) order.
+    the rho where the family's model holds.  Any adjacent-pair increase beyond
+    MONOTONE_TOL is returned as a violation record, never raised, in (family,
+    M, rho, P, c) order.
     """
     violations = []
     P = np.array(grid.p_values)[:, None]
     c = np.sqrt(sorted(grid.c2_values))
     for name in families:
         bound, variant = AUDIT_FAMILIES[name]
-        model = bounds._SPECS[bound]
         for M in grid.m_values:
-            rhos = [rho for rho in grid.rho_axis(M)
-                    if model.M in (None, M) and model.rho in (None, rho)]
+            rhos = [rho for rho in grid.rho_axis(M) if bounds._applies(bound, M, rho)]
             if not rhos:
                 continue
             values, _ = bounds._plane(bound, M, P, c, rhos, variant)

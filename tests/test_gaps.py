@@ -36,7 +36,7 @@ from ccdp import (
     standard_grid,
     theorem_grid,
 )
-from ccdp.bounds import _plane, _variants
+from ccdp.bounds import _applies, _plane
 from ccdp.gaps import (
     AUDIT_FAMILIES,
     CSV_CHUNK,
@@ -632,13 +632,7 @@ def test_grid_axes_stop_at_the_domain_ceilings(axes, error):
 
 def _model_rhos(bound, M, rhos):
     # the rhos of the list at which the bound's model holds at M
-    def holds(rho):
-        try:
-            _variants(bound, M, rho)
-        except WrongModel:
-            return False
-        return True
-    return [rho for rho in rhos if holds(rho)]
+    return [rho for rho in rhos if _applies(bound, M, rho)]
 
 
 CORNER_P = np.array([5e-324, 1.0, 1e280])[:, None]
