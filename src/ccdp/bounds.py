@@ -217,6 +217,8 @@ _BASELINE_OUTER_2 = (("c2<4", _baseline_outer2_low), ("c2<4", _baseline_outer2_l
 # The pieces that never read c2, which a plane runs once per power.
 _FLAT = {_awgn, _time_sharing, _outer_theorem_high, _outer_appendix_high, _outer2_high,
          _es_outer2_high}
+# The outer small-gain piece is the inner one plus 9/4, so a pair shares its log2s.
+_SHIFTED = {_outer_small_gain: (_small_gain, 2.25)}
 
 
 def _inner_breaks(M, P):
@@ -450,35 +452,46 @@ def _log2_plane(x):
     return np.fromiter(map(log2, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
 
-def _plane(bound, M, P, c, rhos, variant):
-    """The public bound named ``bound`` at M and each rho of the non-empty list
-    ``rhos``: (values, branch codes) of shape (powers P, gains c, rhos), from its
-    spec, at the effective gains (c*c)(1-max(rho, 0)), the scalar c2 where the
-    model fixes rho = 0.  Each distinct max(rho, 0) is evaluated once and a piece
-    of _FLAT once on the powers; any other piece sees only its branch's elements.
-    The model check runs for every rho; the pieces depend on M alone."""
-    for rho in rhos:
-        _variants(bound, M, rho)
-    pieces = _variants(bound, M, rhos[0])[variant]
+def _plane(M, P, c, rhos, *bounds):
+    """Each (public bound name, variant) of ``bounds`` at M and each rho of the
+    non-empty list ``rhos``: (values, branch codes) of shape (powers P, gains c,
+    rhos), from its spec, at the effective gains (c*c)(1-max(rho, 0)), the scalar
+    c2 where the model fixes rho = 0.  Each distinct max(rho, 0) is evaluated once,
+    the log2 of each gain once, and a piece of _FLAT once on the powers; any other
+    piece sees only its branch's elements, once for all bounds whose branch
+    agrees (a piece of _SHIFTED as the one it adds to).  The model check runs for
+    every rho; the pieces depend on M alone."""
+    for bound, _ in bounds:
+        for rho in rhos:
+            _variants(bound, M, rho)
     scales, index = np.unique(1.0 - np.maximum(rhos, 0.0), return_inverse=True)
     P, c2 = np.asarray(P, float).reshape(-1, 1, 1), (c * c)[:, None] * scales
-    if variant == RAW and np.any(c2 <= 0.0):
-        raise DomainError("raw outer bound needs c > 0")
     # log2 of each gain once (NaN for a gain <= 0, whose log2 no piece reads)
-    t1, t2, plane_P, c2, lg_c2 = np.broadcast_arrays(
-        *_SPECS[bound].breaks(M, P), P, c2, _log2_plane(np.where(c2 > 0.0, c2, nan)))
-    low = c2 <= t1
-    high = ~low & (c2 >= t2)
-    values, codes = np.empty(c2.shape), np.empty(c2.shape, np.int8)
-    for mask, (label, fn) in zip((low, ~(low | high), high), pieces):
-        if fn in _FLAT and mask.any():
-            np.copyto(values, fn(M, P, None, _log2_plane), where=mask)
-        elif mask.any():
-            gains, logs = c2[mask], lg_c2[mask]
-            values[mask] = fn(M, plane_P[mask], gains,
-                              lambda x: logs if x is gains else _log2_plane(x))
-        codes[mask] = BRANCHES.index(label)
-    return values[..., index], codes[..., index]
+    plane_P, c2, lg_c2 = np.broadcast_arrays(P, c2, _log2_plane(np.where(c2 > 0.0, c2, nan)))
+    done, slabs = {}, []  # a piece's values on one branch
+    for bound, variant in bounds:
+        pieces = _variants(bound, M, rhos[0])[variant]
+        if variant == RAW and np.any(c2 <= 0.0):
+            raise DomainError("raw outer bound needs c > 0")
+        t1, t2 = _SPECS[bound].breaks(M, P)
+        low = c2 <= t1
+        high = ~low & (c2 >= t2)
+        values, codes = np.empty(c2.shape), np.empty(c2.shape, np.int8)
+        for slot, (mask, (label, fn)) in enumerate(zip((low, ~(low | high), high), pieces)):
+            if fn in _FLAT and mask.any():
+                np.copyto(values, fn(M, P, None, _log2_plane), where=mask)
+            elif mask.any():
+                # the low branch is the same wherever t1 is; the others are the bound's
+                base, shift = _SHIFTED.get(fn, (fn, None))
+                key = (base, t1) if slot == 0 else (base, slot, bound)
+                if key not in done:
+                    gains, logs = c2[mask], lg_c2[mask]
+                    done[key] = base(M, plane_P[mask], gains,
+                                     lambda x: logs if x is gains else _log2_plane(x))
+                values[mask] = done[key] if shift is None else done[key] + shift
+            codes[mask] = BRANCHES.index(label)
+        slabs.append((values[..., index], codes[..., index]))
+    return slabs
 
 
 # ---------------------------------------------------------------------------

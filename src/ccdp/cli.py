@@ -334,8 +334,8 @@ def cmd_bounds(resolved):
 
 def cmd_sweep(resolved):
     grid = _grid_from(resolved)
+    report = gaps.run_sweep(grid)  # first, so InfeasibleRho leads stderr
     print(f"sweep: {grid.size()} grid points", file=sys.stderr)
-    report = gaps.run_sweep(grid)
     if resolved["format"] == "json":
         _write(_envelope("sweep", resolved, gaps.report_summary(report),
                          max_gap=report.max_gap, warnings=report.warnings),

@@ -113,12 +113,17 @@ class SweepGrid:
             object.__setattr__(self, name, values)
         if self.rho_points < 1:
             raise CcdpError(f"rho_points must be >= 1, got {self.rho_points!r}")
+        object.__setattr__(self, "_rho_axes", {})
 
     def rho_axis(self, M):
-        """Feasible correlation values for this M, in axis order."""
-        if self.rho_values is None:
-            return tuple(np.linspace(*rho_range(M), self.rho_points).tolist())
-        return tuple(r for r in self.rho_values if _rho_verdict(M, r)[1])
+        """Feasible correlation values for this M, in axis order, built once per M
+        (a copy by ``_with`` builds its own)."""
+        if M not in self._rho_axes:
+            self._rho_axes[M] = (
+                tuple(np.linspace(*rho_range(M), self.rho_points).tolist())
+                if self.rho_values is None
+                else tuple(r for r in self.rho_values if _rho_verdict(M, r)[1]))
+        return self._rho_axes[M]
 
     def size(self):
         per_m = sum(len(self.rho_axis(M)) for M in self.m_values)
@@ -155,18 +160,27 @@ class GapRow:
     small_regime: bool = False
 
 
-# Column dtypes of a GapReport, in GapRow field order.
-COLUMNS = {"M": int, "P": float, "c": float, "rho": float, "variant": object,
-           "inner": float, "outer": float, "gap": float, "inner_branch": np.int8,
+# The columns a GapReport computes, in GapRow field order, and their dtypes.
+COLUMNS = {"inner": float, "outer": float, "gap": float, "inner_branch": np.int8,
            "outer_branch": np.int8, "small_regime": bool}
+
+
+def _blocks(grid):
+    """(M, its sorted rho axis, its rows as a slice) of each M block of a report,
+    in row order; a block's rows run over sorted P x c2 x rho."""
+    start, per_rho = 0, len(grid.p_values) * len(grid.c2_values)
+    for M in sorted(grid.m_values):
+        rhos = sorted(grid.rho_axis(M))
+        yield M, rhos, slice(start, start := start + per_rho * len(rhos))
 
 
 @dataclass
 class GapReport:
     """Sweep output plus the grid-wide gap certificate.
 
-    ``columns`` holds one array per GapRow field, in row order; the branch
-    columns are codes into bounds.BRANCHES.
+    ``columns`` holds the computed COLUMNS in row order, the branch columns as
+    codes into bounds.BRANCHES; ``row(i)`` takes M, P, c and rho from the grid's
+    axes and the row's position (``_blocks``), the variant from ``bound_pair``.
     """
 
     grid: SweepGrid
@@ -185,13 +199,18 @@ class GapReport:
 
     def row(self, i):
         """Row i as a GapRow of plain Python scalars."""
+        i = range(len(self))[i]  # a negative i counts from the end; IndexError
+        M, rhos, rows = next(block for block in _blocks(self.grid) if i < block[2].stop)
+        P, c2 = sorted(self.grid.p_values), sorted(self.grid.c2_values)
+        p, j, k = np.unravel_index(i - rows.start, (len(P), len(c2), len(rhos)))
         cells = {name: col.item(i) for name, col in self.columns.items()}
         for name in ("inner_branch", "outer_branch"):
             cells[name] = bounds.BRANCHES[cells[name]]
-        return GapRow(**cells)
+        variant = bound_pair(M, rhos[k], self.grid.outer_variant, self.theorem)[2]
+        return GapRow(M, P[p], sqrt(c2[j]), rhos[k], variant, **cells)
 
     def finalize(self):
-        """Recompute the certificate from the columns (pure function of them)."""
+        """Recompute the certificate from the columns and the grid's axes."""
         gap, small = self.columns["gap"], self.columns["small_regime"]
         regular = np.flatnonzero(~small)
         self.small_regime_rows = len(gap) - len(regular)
@@ -202,10 +221,15 @@ class GapReport:
             self.argmax = self.row(i)
         if self.claimed_gap is not None:
             limit = self.claimed_gap + GAP_TOL
-            powers, index = np.unique(self.columns["P"][small], return_inverse=True)
-            trivial = bounds._awgn(None, powers, None, bounds._log2_plane)[index]
-            covered = np.all((gap[small] <= limit) | (trivial <= limit))
-            self.certified = bool(covered) and self.max_gap <= limit
+            # the trivial bound once per power of the small-regime rows: the
+            # first P.size powers of each block, whose rows run over P first
+            P = np.array(sorted(self.grid.p_values))
+            P = P[(P <= SMALL_P) | (min(self.grid.c2_values) <= SMALL_C2)]
+            fine = bounds._awgn(None, P, None, bounds._log2_plane)[:, None] <= limit
+            ok = (gap <= limit) | ~small
+            covered = all(np.all(ok[rows].reshape(len(self.grid.p_values), -1)[:P.size] | fine)
+                          for *_, rows in _blocks(self.grid))
+            self.certified = covered and self.max_gap <= limit
         negatives = np.count_nonzero(gap < -GAP_TOL)
         if negatives:
             self.warnings.append(
@@ -217,36 +241,30 @@ class GapReport:
 
 
 def _evaluate_columns(grid, theorem=None):
-    """Columns of every feasible grid point, rows lexicographic in
-    (M, P, c2, rho).
+    """The COLUMNS of every feasible grid point, in ``_blocks`` row order, or
+    InfeasibleRho if there is none.
 
     The rho of one M that ``bound_pair`` gives one pair are one P x c2 x rho
-    slab of each bound of the pair; the variant column records the outer
-    bound variant actually evaluated.
+    slab of both bounds of the pair.
     """
+    if not grid.size():
+        raise InfeasibleRho(f"no rho value of {grid.rho_values} is feasible for "
+                            f"M in {grid.m_values}: the grid has no point")
     P = np.array(sorted(grid.p_values))[:, None]
     c2 = np.array(sorted(grid.c2_values))
     c = np.sqrt(c2)
     columns = {name: np.empty(grid.size(), dtype) for name, dtype in COLUMNS.items()}
-    start = 0
-    for M in sorted(grid.m_values):
-        rhos = sorted(grid.rho_axis(M))
-        shape = (P.size, c.size, len(rhos))
-        block = {name: col[start:start + prod(shape)].reshape(shape)
+    for M, rhos, rows in _blocks(grid):
+        block = {name: col[rows].reshape(P.size, c.size, len(rhos))
                  for name, col in columns.items()}
-        start += prod(shape)
-        block["M"][...] = M
-        block["P"][...] = P[..., None]
-        block["c"][...] = c[:, None]
-        block["rho"][...] = rhos
-        block["small_regime"][...] = ((P <= SMALL_P) | (c2 <= SMALL_C2))[..., None]
         pairs = [bound_pair(M, rho, grid.outer_variant, theorem) for rho in rhos]
+        block["small_regime"][...] = ((P <= SMALL_P) | (c2 <= SMALL_C2))[..., None]
         for inner, outer, variant in dict.fromkeys(pairs):
             ks = [k for k, pair in enumerate(pairs) if pair == (inner, outer, variant)]
-            block["variant"][..., ks] = variant
-            for side, bound, v in (("inner", inner, bounds.THEOREM), ("outer", outer, variant)):
-                block[side][..., ks], block[side + "_branch"][..., ks] = \
-                    bounds._plane(bound, M, P, c, [rhos[k] for k in ks], v)
+            slabs = bounds._plane(M, P, c, [rhos[k] for k in ks],
+                                  (inner, bounds.THEOREM), (outer, variant))
+            for side, (values, codes) in zip(("inner", "outer"), slabs):
+                block[side][..., ks], block[side + "_branch"][..., ks] = values, codes
         np.subtract(block["outer"], block["inner"], out=block["gap"])
     return columns
 
@@ -256,15 +274,16 @@ def run_sweep(grid):
 
     Each point is evaluated with the pair ``bound_pair`` picks for its model;
     the grid's outer variant selects the as-stated or the appendix family.
+    A grid without a feasible point raises InfeasibleRho.
     """
     return GapReport(grid, _evaluate_columns(grid)).finalize()
 
 
 def _with(grid, **fields):
-    # A copy of a checked grid with fields that need no second check: the
-    # axes a theorem's model fixes, a normalized variant.
+    # A copy of a checked grid with fields that need no second check (the axes
+    # a theorem's model fixes, a normalized variant); it builds its own rho axes.
     new = copy(grid)
-    new.__dict__.update(fields)
+    new.__dict__.update(fields, _rho_axes={})
     return new
 
 
@@ -293,9 +312,6 @@ def certify_theorem(theorem, grid, variant_kind="appendix"):
         raise WrongModel(f"{theorem} applies to rho={row.rho} only, grid has "
                          f"{grid.rho_values or 'the feasible rho axis'}")
     grid = _with(grid, outer_variant=_FAMILY[variant_kind])
-    if not grid.size():
-        raise InfeasibleRho(f"no rho value of {grid.rho_values} is feasible for "
-                            f"M in {grid.m_values}: the grid has no point")
     report = GapReport(grid, _evaluate_columns(grid, theorem),
                        claimed_gap=row.gap, theorem=theorem).finalize()
     # The general-M statement, which a theorem over any M evaluates, rises
@@ -318,7 +334,7 @@ def fig3_curve(P, c_values):
     """
     c_opt = sqrt(ChannelParams(2, P, 0.0).P + 1.0)  # InvalidPower for a bad P
     c = np.array([ChannelParams(2, P, float(v)).c for v in c_values])  # InvalidGain
-    slab, _ = bounds._plane("ccdp2_outer", 2, P, np.append(c, c_opt), [0.0], bounds.RAW)
+    (slab, _), = bounds._plane(2, P, np.append(c, c_opt), [0.0], ("ccdp2_outer", bounds.RAW))
     values = slab.ravel()  # one power, one rho
     raw, optimized = values[:-1], np.where(c < c_opt, values[:-1], values[-1])
     return list(zip(c.tolist(), raw.tolist(), optimized.tolist()))
@@ -362,8 +378,13 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
     Each family and M is one P x c2 x rho slab, in grid P and rho order, over
     the rho where the family's model holds.  Any adjacent-pair increase beyond
     MONOTONE_TOL is returned as a violation record, never raised, in (family,
-    M, rho, P, c) order.
+    M, rho, P, c) order.  An audit that would scan nothing is refused: InfeasibleRho
+    without a feasible point, else WrongModel (no family, or none's model holds).
     """
+    if not any(bounds._applies(AUDIT_FAMILIES[name][0], M, rho) for name in families
+               for M in grid.m_values for rho in grid.rho_axis(M)):
+        raise (WrongModel if grid.size() else InfeasibleRho)(
+            f"no family of {families} holds at a feasible point of the grid")
     violations = []
     P = np.array(grid.p_values)[:, None]
     c = np.sqrt(sorted(grid.c2_values))
@@ -373,7 +394,7 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
             rhos = [rho for rho in grid.rho_axis(M) if bounds._applies(bound, M, rho)]
             if not rhos:
                 continue
-            values, _ = bounds._plane(bound, M, P, c, rhos, variant)
+            (values, _), = bounds._plane(M, P, c, rhos, (bound, variant))
             increase = np.diff(values.transpose(2, 0, 1), axis=2)
             for j, i, k in zip(*np.nonzero(increase > MONOTONE_TOL)):
                 violations.append(MonotonicityViolation(
@@ -384,43 +405,47 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
 
 # ---------------------------------------------------------------------------
 # Serialization (fixed schemas; floats use shortest round-trip formatting).
-# A CSV piece is one join of cells that carry their own separators, a numeric
+# A CSV piece is one join of cells that carry their own separators, a computed
 # cell formatted once per distinct bit pattern in the piece: repr per row.
 # ---------------------------------------------------------------------------
 
-def _strings(column, fmt, before="", after=""):
-    """before + fmt + after of every entry, once per distinct 64-bit pattern:
-    equal bits format alike, and 0.0 and -0.0 (or two NaNs) never share one."""
+def _strings(column, fmt, after=""):
+    """fmt + after of every entry, once per distinct 64-bit pattern: equal bits
+    format alike, and 0.0 and -0.0 (or two NaNs) never share one."""
     bits = column.view(np.int64)
     distinct = np.sort(bits)
     distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
-    table = [before + fmt(v) + after for v in distinct.view(column.dtype).tolist()]
+    table = [fmt(v) + after for v in distinct.view(column.dtype).tolist()]
     return np.array(table, object)[np.searchsorted(distinct, bits)].tolist()
 
 
 def _csv_pieces(report, meta=None):
-    # The text of rows_to_csv in pieces of at most CSV_CHUNK rows, so a writer
-    # holds one piece of text and its cells at a time, never the whole CSV.
+    # The text of rows_to_csv in pieces of at most CSV_CHUNK rows of one M block,
+    # so a writer holds one piece of text and its cells at a time, never the
+    # whole CSV.  "M,P,c," and "rho,variant," come from the grid's axes.
     yield "".join(f"# {k}: {v}\n" for k, v in (meta or {}).items())
     yield ",".join(CSV_COLUMNS) + "\n"
     pairs = np.array([f"{a},{b}\n" for a in bounds.BRANCHES for b in bounds.BRANCHES], object)
-    for start in range(0, len(report), CSV_CHUNK):
-        chunk = {name: col[start:start + CSV_CHUNK]
-                 for name, col in report.columns.items()}
-        # "M,P,c," once per run of rows that share its bits (rho varies fastest)
-        bits = [chunk[name].view(np.int64) for name in ("M", "P", "c")]
-        new = np.append(True, np.any([b[1:] != b[:-1] for b in bits], axis=0))
-        heads = map("".join, zip(*(_strings(chunk[name][new], fmt, after=",")
-                                   for name, fmt in (("M", str), ("P", repr), ("c", repr)))))
-        cells = [None] * (7 * len(new))
-        cells[0::7] = np.array(list(heads), object)[np.cumsum(new) - 1].tolist()
-        for k, name, before in ((1, "rho", ""), (3, "inner", ","), (4, "outer", ""),
-                                (5, "gap", "")):
-            cells[k::7] = _strings(chunk[name], repr, before, ",")
-        cells[2::7] = chunk["variant"].tolist()
-        codes = chunk["inner_branch"] * len(bounds.BRANCHES) + chunk["outer_branch"]
-        cells[6::7] = pairs[codes].tolist()
-        yield "".join(cells)
+    powers = [f"{P!r}," for P in sorted(report.grid.p_values)]
+    gains = [f"{c!r}," for c in np.sqrt(sorted(report.grid.c2_values)).tolist()]
+    for M, rhos, rows in _blocks(report.grid):
+        heads = [f"{M},{power}{gain}" for power in powers for gain in gains]
+        tails = [f"{rho!r},{bound_pair(M, rho, report.grid.outer_variant, report.theorem)[2]},"
+                 for rho in rhos] * len(heads)
+        repeated = [None] * len(tails)  # each head once per rho, as the block's rows
+        for k in range(len(rhos)):
+            repeated[k::len(rhos)] = heads
+        for start in range(rows.start, rows.stop, CSV_CHUNK):
+            chunk = slice(start, min(start + CSV_CHUNK, rows.stop))
+            local = slice(chunk.start - rows.start, chunk.stop - rows.start)
+            cells = [None] * (6 * (chunk.stop - chunk.start))
+            cells[0::6], cells[1::6] = repeated[local], tails[local]
+            for k, name in ((2, "inner"), (3, "outer"), (4, "gap")):
+                cells[k::6] = _strings(report.columns[name][chunk], repr, ",")
+            codes = report.columns["inner_branch"][chunk] * len(bounds.BRANCHES) \
+                + report.columns["outer_branch"][chunk]
+            cells[5::6] = pairs[codes].tolist()
+            yield "".join(cells)
 
 
 def rows_to_csv(report, meta=None):

@@ -298,7 +298,7 @@ def test_variant_outside_the_family_raises_value_error(bound, params, variant):
 ])
 def test_plane_rejects_a_variant_its_bound_lacks(bound, variant):
     with pytest.raises(ValueError, match=f"unknown variant '{variant}'"):
-        _plane(bound, 2, np.array([[10.0]]), np.array([2.0]), [0.0], variant)
+        _plane(2, np.array([[10.0]]), np.array([2.0]), [0.0], (bound, variant))
 
 
 def test_ccdp2_wrong_model():

@@ -312,6 +312,14 @@ HUGE = ("--P-min", "1e307", "--P-max", "1.5e308", "--c2-min", "1e300", "--c2-max
     (("bounds", "--M", "2", "--c", "-2"), "InvalidGain"),  # the gain, not squared
     (("simulate", "--M", "2", "--c", "-2"), "InvalidGain"),
     (("bounds", "--M", "2", "--c", "-2", "--c2", "4"), "InvalidGain"),
+    # a sweep or an audit that would report on no point
+    (("sweep", "--M-values", "3", "--rho-values", "5", "--P-points", "1",
+      "--c2-points", "1"), "InfeasibleRho"),
+    (("sweep", "--M-values", "3", "--rho-values", "5", "--format", "json", *GRID),
+     "InfeasibleRho"),
+    (("audit", "--M-values", "3", "--rho-values", "5", *GRID), "InfeasibleRho"),
+    (("audit", "--families", ",,", *GRID), "WrongModel"),
+    (("audit", "--families", "inner-2", "--M-values", "3", *GRID), "WrongModel"),
 ])
 def test_invalid_grid_input_exits_2(capsys, tmp_path, argv, error):
     out = tmp_path / "out"
@@ -419,6 +427,30 @@ def test_audit_json(capsys, tmp_path):
 def test_audit_unknown_family(capsys):
     code, _, err = run(capsys, "audit", "--families", "nope")
     assert code == 2 and "nope" in err
+
+
+def test_audit_of_a_partly_applicable_selection_skips_only_its_other_slices(capsys,
+                                                                            tmp_path):
+    # inner-2 holds at M = 2 only, inner-m at rho = 0 only: both are scanned there
+    f = tmp_path / "a.csv"
+    code, _, err = run(capsys, "audit", "--families", "inner-2,inner-m,outer-2-raw",
+                       "--M-values", "2,3", "--rho-values", "0,0.5", *GRID,
+                       "--out", str(f))
+    assert code == 0 and "over 3 families" in err
+    assert f.read_text().splitlines()[2] == "family,M,P,rho,c_low,c_high,increase"
+
+
+def test_a_grid_commands_pass_builds_each_rho_axis_once(capsys, tmp_path, monkeypatch):
+    # sweep, certify Th3..Th6 and the audit, as the grid-commands benchmark runs
+    # them (smaller P and c2 axes): one np.linspace per M of each command with
+    # the feasible rho axis (sweep, Th5, Th6, audit), where 267 were made when
+    # every caller of SweepGrid.rho_axis built it anew
+    calls, linspace = [], np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
+    for argv in (["sweep"], *(["certify", "--theorem", t] for t in ("Th3", "Th4", "Th5", "Th6")),
+                 ["audit"]):
+        assert run(capsys, *argv, *GRID, "--out", str(tmp_path / "out"))[0] == 0
+    assert len(calls) == 7 + 1 + 7 + 7
 
 
 def test_simulate_san(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Sweeps, certification, audit and serialization."""
 
 from dataclasses import astuple, replace
+from itertools import product
 from math import inf, log2, nan, sqrt
 
 import numpy as np
@@ -43,6 +44,7 @@ from ccdp.gaps import (
     CSV_COLUMNS,
     OPTIMIZED_FAMILIES,
     THEOREMS,
+    _csv_pieces,
     _strings,
     bound_pair,
     report_summary,
@@ -239,12 +241,12 @@ def test_rows_equal_scalar_pair_on_random_grids(theorem, variant, m_values, p_va
         rho_values = [0.0]
     grid = SweepGrid(tuple(m_values), tuple(p_values), tuple(c2_values),
                      tuple(rho_values), outer_variant=variant)
+    # a grid without a feasible point is refused, see
+    # test_sweep_and_audit_refuse_a_grid_without_a_feasible_point
+    assume(grid.size() > 0)
     if theorem is None:
         report = run_sweep(grid)
     else:
-        # a grid without a feasible point is refused, see
-        # test_certify_refuses_a_grid_without_a_feasible_point
-        assume(grid.size() > 0)
         report = certify_theorem(theorem, grid, variant_kind=variant)
     assert len(report) == grid.size()
     _assert_rows_equal_direct_calls(report, theorem, variant)
@@ -256,6 +258,14 @@ def test_certify_refuses_a_grid_without_a_feasible_point(theorem, m_values):
     assert grid.size() == 0
     with pytest.raises(InfeasibleRho):
         certify_theorem(theorem, grid)
+
+
+@pytest.mark.parametrize("call", [run_sweep, monotonicity_audit])
+def test_sweep_and_audit_refuse_a_grid_without_a_feasible_point(call):
+    # nothing to report: not an empty sweep with maxGap -inf, not "0 violations"
+    grid = SweepGrid((3, 4), (10.0,), (4.0,), (-1.5, 5.0))
+    with pytest.raises(InfeasibleRho):
+        call(grid)
 
 
 @pytest.mark.parametrize("call", [
@@ -315,7 +325,7 @@ def test_strings_formats_each_bit_pattern_as_repr():
                     other_nan, 1e308, 2.5, -inf, 5e-324, -nan])
     assert _strings(col, repr) == [repr(v) for v in col.tolist()]
     assert _strings(col[1::-1], repr) == ["-0.0", "0.0"]
-    assert _strings(col, repr, ",", ",") == [f",{v!r}," for v in col.tolist()]
+    assert _strings(col, repr, ",") == [f"{v!r}," for v in col.tolist()]
 
 
 @settings(max_examples=8, deadline=None)
@@ -333,6 +343,56 @@ def test_csv_of_random_grids_equals_rows_formatted_one_by_one(m_values, p_values
                                  (-0.0, *rho_values)))
     assert len(report) > CSV_CHUNK
     assert rows_to_csv(report) == _csv_row_by_row(report)
+
+
+# Grids whose M values have different rho counts (-0.5 is feasible for
+# M <= 3 only, -0.9 for M = 2 only), with -0.0 or 0.0 and 1.0 among the rho.
+DECODE_GRIDS = [SweepGrid((5, 2, 3), (10.0, 0.5, 3.0), (4.0, 0.0, 11.0, 1.0),
+                          (1.0, zero, -0.5, 0.25, -0.9)) for zero in (-0.0, 0.0)]
+
+
+def _axes_walk(grid, theorem):
+    """M, P, c, rho and variant of each row: the sorted axes walked with
+    itertools.product, M slowest and rho fastest, the variant by bound_pair."""
+    return [(M, P, np.sqrt(c2).item(), rho, bound_pair(M, rho, grid.outer_variant, theorem)[2])
+            for M in sorted(grid.m_values)
+            for P, c2, rho in product(sorted(grid.p_values), sorted(grid.c2_values),
+                                      sorted(grid.rho_axis(M)))]
+
+
+@pytest.mark.parametrize("variant", ["appendix", "theorem-statement"])
+@pytest.mark.parametrize("theorem, grid", [
+    *((None, grid) for grid in DECODE_GRIDS),
+    *((theorem, theorem_grid(theorem, small_grid())) for theorem in THEOREMS),
+    ("Th6", DECODE_GRIDS[0]), ("Th5", replace(DECODE_GRIDS[1], m_values=(2,))),
+])
+def test_rows_take_their_axis_values_from_the_grid_in_product_order(theorem, grid,
+                                                                      variant):
+    grid = replace(grid, outer_variant=variant)
+    report = (run_sweep(grid) if theorem is None
+              else certify_theorem(theorem, grid, variant_kind=variant))
+    if theorem is None:  # a different number of rho per M
+        assert sorted(len(grid.rho_axis(M)) for M in grid.m_values) == [3, 4, 5]
+    # repr tells -0.0 from 0.0
+    assert [repr(astuple(report.row(i))[:5]) for i in range(len(report))] \
+        == [repr(axes) for axes in _axes_walk(grid, theorem)]
+    assert repr(astuple(report.row(-1))[:5]) == repr(_axes_walk(grid, theorem)[-1])
+    with pytest.raises(IndexError):
+        report.row(len(report))
+
+
+@pytest.mark.parametrize("chunk", [4, 7, 4096])
+def test_csv_pieces_hold_at_most_csv_chunk_rows_of_one_m_block(monkeypatch, chunk):
+    # 13 rho per M: a piece of 4 or 7 rows starts and ends inside a (P, c2) group
+    monkeypatch.setattr("ccdp.gaps.CSV_CHUNK", chunk)
+    report = run_sweep(small_grid(m_values=(3, 2, 5), rho_points=13))
+    pieces = list(_csv_pieces(report))[2:]
+    lines = [piece.splitlines() for piece in pieces]
+    assert all(0 < len(piece) <= chunk for piece in lines)
+    assert all(len({line.split(",", 1)[0] for line in piece}) == 1 for piece in lines)
+    block = 6 * 8 * 13
+    assert len(pieces) == 3 * -(-block // chunk)
+    assert "".join(pieces) == _csv_row_by_row(report).split("\n", 1)[1]
 
 
 def test_grid_commands_make_no_call_per_point(monkeypatch):
@@ -644,7 +704,7 @@ def test_every_audit_family_is_finite_at_the_domain_corners():
         for M in (2, 3, 2 ** 53):
             rhos = _model_rhos(bound, M, (-1.0 / (M - 1), 0.0, 1.0))
             if rhos:
-                values, _ = _plane(bound, M, CORNER_P, CORNER_C, rhos, variant)
+                (values, _), = _plane(M, CORNER_P, CORNER_C, rhos, (bound, variant))
                 assert values.shape == (3, 4, len(rhos))
                 assert np.isfinite(values).all(), (bound, variant, M, rhos)
 
@@ -664,10 +724,10 @@ def test_a_slab_equals_the_one_rho_slab_of_each_of_its_rhos(name):
             continue
         slabs += 1
         assert len(rhos) >= 3 and {repr(rho) for rho in rhos} >= {"0.0", "-0.0"}
-        values, codes = _plane(bound, M, P, c, rhos, variant)
+        (values, codes), = _plane(M, P, c, rhos, (bound, variant))
         assert values.shape == codes.shape == (P.size, c.size, len(rhos))
         for k, rho in enumerate(rhos):
-            one, one_codes = _plane(bound, M, P, c, [rho], variant)
+            (one, one_codes), = _plane(M, P, c, [rho], (bound, variant))
             assert values[..., k].tobytes() == one[..., 0].tobytes(), (M, rho)
             assert codes[..., k].tobytes() == one_codes[..., 0].tobytes(), (M, rho)
     assert slabs >= 1
@@ -690,8 +750,8 @@ def test_sweep_at_the_domain_corners_is_finite(variant):
 # ---------------------------------------------------------------------------
 
 def _computed_planes(monkeypatch):
-    # A count of the slabs computed: calls of bounds._plane that evaluated a
-    # logarithm.
+    # A count of the slabs computed: the bounds of the calls of bounds._plane
+    # that evaluated a logarithm.
     import ccdp.bounds
     plane, log2_plane = ccdp.bounds._plane, ccdp.bounds._log2_plane
     count, evaluated = [0], []
@@ -700,10 +760,10 @@ def _computed_planes(monkeypatch):
         evaluated.append(x.size)
         return log2_plane(x)
 
-    def counted(*args):
+    def counted(M, P, c, rhos, *bounds):
         before = len(evaluated)
-        result = plane(*args)
-        count[0] += len(evaluated) > before
+        result = plane(M, P, c, rhos, *bounds)
+        count[0] += len(bounds) if len(evaluated) > before else 0
         return result
 
     monkeypatch.setattr(ccdp.bounds, "_log2_plane", counted_log2)
@@ -743,15 +803,18 @@ def _log2_elements(monkeypatch):
 
 
 @pytest.mark.parametrize("label, call, elements", [
-    ("sweep", lambda: run_sweep(standard_grid()), 186_666),
-    ("Th3", lambda: certify_theorem("Th3", theorem_grid("Th3")), 1_830),
-    ("Th4", lambda: certify_theorem("Th4", theorem_grid("Th4")), 14_806),
-    ("Th5", lambda: certify_theorem("Th5", theorem_grid("Th5")), 17_222),
-    ("Th6", lambda: certify_theorem("Th6", theorem_grid("Th6")), 184_836),
+    ("sweep", lambda: run_sweep(standard_grid()), 151_016),
+    ("Th3", lambda: certify_theorem("Th3", theorem_grid("Th3")), 1_780),
+    ("Th4", lambda: certify_theorem("Th4", theorem_grid("Th4")), 13_906),
+    ("Th5", lambda: certify_theorem("Th5", theorem_grid("Th5")), 14_222),
+    ("Th6", lambda: certify_theorem("Th6", theorem_grid("Th6")), 149_236),
     ("audit", lambda: monotonicity_audit(standard_grid(), OPTIMIZED_FAMILIES), 192_649),
 ])
 def test_a_grid_call_takes_each_gains_log2_once_per_plane(monkeypatch, label, call,
                                                            elements):
+    # the two slabs of a pair share the gains' log2 and the small-gain branch:
+    # 186,666, 1,830, 14,806, 17,222, 184,836 and 192,649 elements when each
+    # slab took its own (598,009 per pass, 522,809 now);
     # 195,366, 1,830, 14,806, 17,972, 193,536 and 201,349 elements when a
     # gain-flat piece ran once per (M, max(rho, 0)) plane, not once per slab;
     # 302,282, 3,360, 26,062, 28,344, 298,922 and 313,198 when a piece took
@@ -774,7 +837,8 @@ def test_finalize_takes_the_trivial_bound_once_per_distinct_power(monkeypatch):
     # the certificate of the trivial bound taken row by row
     small, gap, limit = report.columns["small_regime"], report.columns["gap"], 2.25 + 1e-9
     covered = all(g <= limit or 0.5 * log2(1.0 + P) <= limit for g, P in
-                  zip(gap[small].tolist(), report.columns["P"][small].tolist()))
+                  zip(gap[small].tolist(),
+                      [report.row(i).P for i in np.flatnonzero(small).tolist()]))
     assert report.certified is (covered and report.max_gap <= limit) is True
 
 
@@ -791,7 +855,7 @@ def test_rows_equal_the_scalar_pair_at_zero_effective_gain(theorem, variant):
     grid = SweepGrid(m_values, *ZERO_GAIN_AXES[1:], outer_variant=variant)
     report = (run_sweep(grid) if theorem is None
               else certify_theorem(theorem, grid, variant_kind=variant))
-    assert len(report) == grid.size() and 1.0 in report.columns["rho"]
+    assert len(report) == grid.size() and 1.0 in [r.rho for r in rows(report)]
     _assert_rows_equal_direct_calls(report, theorem, variant)
 
 
@@ -818,7 +882,7 @@ def test_rows_equal_the_scalar_pair_across_nonpositive_rho(theorem, variant, zer
               else certify_theorem(theorem, grid, variant_kind=variant))
     assert len(report) == grid.size()
     _assert_rows_equal_direct_calls(report, theorem, variant)
-    assert [repr(r) for r in report.columns["rho"][:4].tolist()] \
+    assert [repr(report.row(i).rho) for i in range(4)] \
         == ["-0.25", "-0.1", repr(zero), "0.5"]
 
 
@@ -829,8 +893,8 @@ def test_a_fixed_rho_model_is_not_served_from_the_rho_zero_plane():
     found = monotonicity_audit(grid, ("inner-m", "outer-m-theorem", "outer-2-theorem"))
     assert found and {v.rho for v in found} == {0.0}
     with pytest.raises(WrongModel):
-        _plane("ccdp_m_inner", 3, np.array([[10.0]]), np.array([1.0, 3.0]), [0.0, -0.3],
-               THEOREM)
+        _plane(3, np.array([[10.0]]), np.array([1.0, 3.0]), [0.0, -0.3],
+               ("ccdp_m_inner", THEOREM))
 
 
 @pytest.mark.parametrize("name", ["outer-es-theorem", "outer-2-raw", "outer-m-theorem"])

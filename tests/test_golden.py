@@ -16,15 +16,25 @@ import pytest
 
 from ccdp import cli
 
+# case: (arguments, sha256 of the text after the metadata lines, exit status)
 GOLDEN = {
-    "sweep": ((), "64d4f9e50fed7bdf4ec2114f6d7db123dcee2a9049e5bcb4128f447205eefd9e"),
+    "sweep": ((), "64d4f9e50fed7bdf4ec2114f6d7db123dcee2a9049e5bcb4128f447205eefd9e", 0),
     "sweep-theorem": (("--outer-variant", "theorem-statement"),
-                      "ff5daff40177c8c7a327d205b8a856b7b039efe774a593056a7792dff7b88f3d"),
+                      "ff5daff40177c8c7a327d205b8a856b7b039efe774a593056a7792dff7b88f3d", 0),
     "audit-optimized": (("--families", "optimized"),
-                        "53688f5b58a33ed39b0538a2b1904a705e1f30f13cf7ab35803499bc7760e994"),
+                        "53688f5b58a33ed39b0538a2b1904a705e1f30f13cf7ab35803499bc7760e994", 0),
     "audit-all": (("--families", "all"),
-                  "673f7f44ea565798496c205c7e25fef3945361b75b9350c9e222152e2096554d"),
-    "fig3": ((), "5630271b0a3f0f261f11cad89d19a2bf4bedfc96a15f32d370b2219c1ed92d73"),
+                  "673f7f44ea565798496c205c7e25fef3945361b75b9350c9e222152e2096554d", 0),
+    "fig3": ((), "5630271b0a3f0f261f11cad89d19a2bf4bedfc96a15f32d370b2219c1ed92d73", 0),
+    # certificate rows: their variant cells come from the grid's axes
+    "certify-Th3": (("--theorem", "Th3", "--format", "csv"),
+                    "e9cbcbfce347e5e91d2b3397040e192395363dc4d822c56db3a4851a4bdd1658", 0),
+    "certify-Th6": (("--theorem", "Th6", "--format", "csv"),
+                    "f31915f8933bc33805c515a7c2c3c6410d883c5f00aeed7ba07c3a3434daa863", 0),
+    # the stated outer bound misses the claim: exit 1
+    "certify-Th6-theorem": (("--theorem", "Th6", "--variant", "theorem-statement",
+                             "--format", "csv"),
+                            "a42beb429eaadbb4d895d2ce5ff39635c0c5e2110ee40acb905a65ccf644b6fd", 1),
 }
 
 
@@ -38,9 +48,9 @@ def _body(text):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_standard_command_output_is_golden(tmp_path, case):
-    args, digest = GOLDEN[case]
+    args, digest, status = GOLDEN[case]
     out = tmp_path / f"{case}.csv"
-    assert cli.main([case.split("-")[0], *args, "--out", str(out)]) == 0
+    assert cli.main([case.split("-")[0], *args, "--out", str(out)]) == status
     text = out.read_text(encoding="utf-8")
     assert text.startswith("# tool_version: ")
     assert hashlib.sha256(_body(text).encode()).hexdigest() == digest
