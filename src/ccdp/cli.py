@@ -88,7 +88,7 @@ OPTION_TABLES = {
              **_COMMON_OPTS,
              "format": _format_opt("csv", "json")},
     "simulate": {**_POINT_OPTS, **_COMMON_OPTS,
-                 "target": Opt(str, "san", "san, gp, scheme or decomposition"),
+                 "target": _format_opt("san", "gp", "scheme", "decomposition"),
                  "alpha-bar": Opt(float, None,
                                   "pre-coded power fraction (default: optimal)"),
                  "samples": Opt(int, 1_000_000, "Monte Carlo sample count"),
@@ -335,15 +335,15 @@ def cmd_bounds(resolved):
 def cmd_sweep(resolved):
     grid = _grid_from(resolved)
     report = gaps.run_sweep(grid)  # first, so InfeasibleRho leads stderr
+    summary = gaps.report_summary(report)
     print(f"sweep: {grid.size()} grid points", file=sys.stderr)
     if resolved["format"] == "json":
-        _write(_envelope("sweep", resolved, gaps.report_summary(report),
-                         max_gap=report.max_gap, warnings=report.warnings),
+        _write(_envelope("sweep", resolved, summary, max_gap=summary["maxGap"],
+                         warnings=report.warnings),
                resolved["out"])
     else:
         _write_csv(report, _meta("sweep", resolved), resolved["out"])
-    print(f"sweep: maxGap={report.max_gap:.6f} at "
-          f"{gaps.report_summary(report)['argmax']}", file=sys.stderr)
+    print(f"sweep: maxGap={report.max_gap:.6f} at {summary['argmax']}", file=sys.stderr)
     return 0
 
 
@@ -364,9 +364,9 @@ def cmd_certify(resolved):
     if resolved["format"] == "csv":
         _write_csv(report, _meta("certify", resolved), resolved["out"])
     else:
-        _write(_envelope("certify", resolved, gaps.report_summary(report),
-                         max_gap=report.max_gap, certified=report.certified,
-                         warnings=report.warnings),
+        summary = gaps.report_summary(report)
+        _write(_envelope("certify", resolved, summary, max_gap=summary["maxGap"],
+                         certified=report.certified, warnings=report.warnings),
                resolved["out"])
     print(f"certify {theorem} ({variant}): maxGap={report.max_gap:.6f} "
           f"certified={'true' if report.certified else 'false'}",
@@ -398,8 +398,7 @@ def cmd_simulate(resolved):
     if ab is None:
         ab = bounds.alpha_star(params).alpha_bar
     config = mc.SimulationConfig(params=params, samples=resolved["samples"],
-                                 seed=resolved["seed"], alpha_bar=ab,
-                                 target=target)
+                                 seed=resolved["seed"], alpha_bar=ab)
     threads = resolved["threads"]
     if target == "san":
         results = _estimate_dict(mc.estimate_san_rate(config, threads=threads))
@@ -489,14 +488,18 @@ def main(argv=None):
         # Allow the command to come from a config file.
         file_values = {}
         if command is None:
-            if "--config" not in argv:
+            # --config FILE or --config=FILE, as argparse reads them
+            at = next((i for i, arg in enumerate(argv)
+                       if arg.partition("=")[0] == "--config"), None)
+            if at is None:
                 sys.stderr.write(
                     f"usage: ccdp {{{','.join(COMMANDS)}}} [options]\n")
                 return 2
-            at = argv.index("--config") + 1
-            if at == len(argv):
-                raise CcdpError("--config needs a file path")
-            path = argv[at]
+            _, joined, path = argv[at].partition("=")
+            if not joined:
+                if at + 1 == len(argv):
+                    raise CcdpError("--config needs a file path")
+                path = argv[at + 1]
             file_values = read_config_file(path)
             command = file_values.get("command")
             if command not in COMMANDS:

@@ -37,9 +37,6 @@ from .model import (
 LN2 = log(2.0)
 _EPS = float(np.finfo(float).eps)
 
-TARGETS = ("san", "gp", "scheme", "decomposition")
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """One estimation run: channel, sample count, stream seed, power split."""
@@ -48,14 +45,11 @@ class SimulationConfig:
     samples: int = 1_000_000
     seed: int = 0
     alpha_bar: float = 0.0   # fraction of power on the pre-coded layer
-    target: str = "san"
 
     def __post_init__(self):
         if self.samples < 1000:
             raise CcdpError(f"samples must be >= 1000, got {self.samples}")
         PowerSplit(self.alpha_bar)  # its check of alpha_bar
-        if self.target not in TARGETS:
-            raise CcdpError(f"target must be one of {TARGETS}, got {self.target!r}")
 
 
 @dataclass(frozen=True)
@@ -234,8 +228,9 @@ class SchemeSystem:
         def row():
             return np.zeros(self.dim)
 
-        a_power = (1.0 - self.alpha_bar) * P
-        ab_power = self.alpha_bar * P
+        # the common and the pre-coded layer's powers
+        self.a_power = a_power = (1.0 - self.alpha_bar) * P
+        self.ab_power = ab_power = self.alpha_bar * P
         rows = {}
         x_san = row(); x_san[0] = sqrt(a_power)
         x_pas = row(); x_pas[1] = sqrt(ab_power)
@@ -258,13 +253,28 @@ class SchemeSystem:
             self.lam_common = a_power / (a_power + noise) if a_power > 0 else 0.0
             rows["U_san"] = x_san + self.lam_common * (c * sqrt(rho)) * s_c
         self.rows = rows
-        self._factor_cache = {}
 
     def receiver(self, m):
         """Names of receiver m's output, auxiliary and state rows."""
         if f"Y_{m}" not in self.rows:
             raise CcdpError(f"receiver must be in 1..{self.params.M}, got {m!r}")
         return f"Y_{m}", f"U_{m}", f"S_{m}"
+
+    def layer_terms(self, m):
+        """Receiver m's (weight, a, b, cond) MI terms: (common layer, pre-coded layer).
+
+        The common layer is I(X_san; Y_m) with the states as noise, or, when
+        rho > 0, its rate pre-coded against S_c: I(Y_m; U_san) - I(U_san; S_c).
+        The pre-coded layer is I(Y_m; U_m | X_san) - I(U_m; S_m).  A layer with
+        no power has no terms, and the other layer is not conditioned on it.
+        """
+        y, u, s = self.receiver(m)
+        cond = ["X_san"] if self.a_power > 0 else []
+        common = [] if self.a_power == 0 else (
+            [(1.0, [y], ["U_san"], []), (-1.0, ["U_san"], ["S_c"], [])] if self.params.rho > 0
+            else [(1.0, ["X_san"], [y], [])])
+        precoded = [(1.0, [y], [u], cond), (-1.0, [u], [s], [])] if self.ab_power > 0 else []
+        return common, precoded
 
     def transform(self, names):
         return np.stack([self.rows[n] for n in names])
@@ -279,13 +289,15 @@ class SchemeSystem:
 
     def factor_rows(self, n, seed, threads=1):
         """{name: row of transform @ L}, S = L L^T the basis second moment, so
-        any variables' empirical covariance is their rows' Gram matrix.  Cached
-        per (n, seed)."""
-        key = (n, seed)
-        if key not in self._factor_cache:
-            L = _cholesky(self.basis_second_moment(n, seed, threads))
-            self._factor_cache[key] = dict(zip(self.rows, self.transform(self.rows) @ L))
-        return self._factor_cache[key]
+        any variables' empirical covariance is their rows' Gram matrix."""
+        L = _cholesky(self.basis_second_moment(n, seed, threads))
+        return dict(zip(self.rows, self.transform(self.rows) @ L))
+
+    def estimate(self, sums, config, threads=1):
+        """(value, stderr) in bits of each sum of MI terms, on the config's
+        samples; nothing is drawn when every sum is empty."""
+        rows = self.factor_rows(config.samples, config.seed, threads) if any(sums) else {}
+        return _estimate_sums(rows, sums, config.samples)
 
 
 def _estimate_sums(rows, sums, n):
@@ -320,14 +332,10 @@ def estimate_san_rate(config, threads=1):
     Closed form: 1/2*log2(1 + aP/(c2 + abP + 1)).
     """
     p, ab = config.params, config.alpha_bar
-    a_power = (1.0 - ab) * p.P
-    closed = _san_rate(p.P, p.c2, ab)
-    if a_power == 0.0:  # the zero-power rule of _estimate_sums, with no draw
-        return MIEstimate(0.0, 1.0 / config.samples, config.samples, closed)
-    [(value, se)] = _estimate_sums(
-        SchemeSystem(p, ab).factor_rows(config.samples, config.seed, threads),
-        [[(1.0, ["X_san"], ["Y_1"], [])]], config.samples)
-    return MIEstimate(value, se, config.samples, closed)
+    system = SchemeSystem(p, ab)
+    terms = [(1.0, ["X_san"], ["Y_1"], [])] if system.a_power > 0 else []
+    [(value, se)] = system.estimate([terms], config, threads)
+    return MIEstimate(value, se, config.samples, _san_rate(p.P, p.c2, ab))
 
 
 def _check_precoded(config, lambdas):
@@ -349,16 +357,10 @@ def estimate_gp_rate(config, lam=None, receiver=1, threads=1):
     abP/(abP+1), at which the closed form is 1/2*log2(1+abP) for any gain.
     An explicit lam overrides it (closed form adjusts accordingly).
     """
-    p, ab = config.params, config.alpha_bar
-    ab_power = ab * p.P
     _check_precoded(config, () if lam is None else (lam,))
-    system = SchemeSystem(p, ab, lam=lam)
-    closed = gp_rate_closed_form(ab_power, p.c2, system.lam)
-    y, u, s = system.receiver(receiver)
-    cond = ["X_san"] if ab < 1.0 else []  # zero-power layer cannot be conditioned on
-    [(value, se)] = _estimate_sums(
-        system.factor_rows(config.samples, config.seed, threads),
-        [[(1.0, [y], [u], cond), (-1.0, [u], [s], [])]], config.samples)
+    system = SchemeSystem(config.params, config.alpha_bar, lam=lam)
+    closed = gp_rate_closed_form(system.ab_power, config.params.c2, system.lam)
+    [(value, se)] = system.estimate([system.layer_terms(receiver)[1]], config, threads)
     return MIEstimate(value, se, config.samples, closed)
 
 
@@ -390,35 +392,26 @@ def verify_scheme_rate(config, threads=1):
     whose delta-method stderr accounts for the receivers' shared samples.  The
     minimum over receivers, a biased-low estimate, is kept as ``min_rate``.
     """
-    p, ab, n, seed = config.params, config.alpha_bar, config.samples, config.seed
+    p, ab, n = config.params, config.alpha_bar, config.samples
     M = p.M
-    a_power = (1.0 - ab) * p.P
-    ab_power = ab * p.P
-    precode_common = p.rho > 0 and a_power > 0
     system = SchemeSystem(p, ab)
-    rows = system.factor_rows(n, seed, threads) if a_power > 0 or ab_power > 0 else {}
 
     # The common layer sees the states as noise at the effective gain: with
     # rho > 0 it pre-codes the common component away, leaving (1-rho)*c2.
     ceff2 = p.c2 * p.rho_bar_plus
     san_closed = _san_rate(p.P, ceff2, ab)
-    gp_closed = 0.5 * log2(1.0 + ab_power)
+    gp_closed = 0.5 * log2(1.0 + system.ab_power)
 
     sums = []  # per receiver: its rate san + gp/M, san and gp
     for m in range(1, M + 1):
-        y, u, s = system.receiver(m)
-        terms_san = [] if a_power == 0 else (
-            [(1.0, [y], ["U_san"], []), (-1.0, ["U_san"], ["S_c"], [])] if precode_common
-            else [(1.0, ["X_san"], [y], [])])
-        cond = ["X_san"] if a_power > 0 else []
-        terms_gp = [(1.0, [y], [u], cond), (-1.0, [u], [s], [])] if ab_power > 0 else []
+        terms_san, terms_gp = system.layer_terms(m)
         sums += [terms_san + [(w / M, a, b, c) for (w, a, b, c) in terms_gp],
                  terms_san, terms_gp]
 
     mean = [(w / M, a, b, c) for terms in sums[0::3] for (w, a, b, c) in terms]
-    combined, *results = _estimate_sums(rows, [mean] + sums, n)
+    combined, *results = system.estimate([mean] + sums, config, threads)
     per_receiver = [(MIEstimate(*san, n, san_closed),
-                     MIEstimate(*gp, n, gp_closed) if ab_power > 0 else None)
+                     MIEstimate(*gp, n, gp_closed) if system.ab_power > 0 else None)
                     for san, gp in zip(results[1::3], results[2::3])]
     return SchemeRateReport(
         per_receiver=tuple(per_receiver),
@@ -433,20 +426,14 @@ def verify_scheme_rate(config, threads=1):
 def gp_rate_lambda_profile(config, lambdas, receiver=1, threads=1):
     """Empirical pre-coded rate as a function of the inflation factor.
 
-    One set of samples serves every lambda: the auxiliary is a linear
-    function of (X_pas, S), and so is its factor row.
+    Each lambda is estimated as ``estimate_gp_rate`` estimates it, on the
+    same samples: the systems share one basis moment, so one draw serves all.
     """
-    p, ab = config.params, config.alpha_bar
     _check_precoded(config, lambdas)
-    system = SchemeSystem(p, ab)
-    y, u, s = system.receiver(receiver)
-    rows = system.factor_rows(config.samples, config.seed, threads)
-    cond = ["X_san"] if (1.0 - ab) * p.P > 0 else []
     values = []
     for lam in lambdas:
-        [(value, _)] = _estimate_sums({**rows, u: rows["X_pas"] + lam * p.c * rows[s]},
-                                      [[(1.0, [y], [u], cond), (-1.0, [u], [s], [])]],
-                                      config.samples)
+        system = SchemeSystem(config.params, config.alpha_bar, lam=lam)
+        [(value, _)] = system.estimate([system.layer_terms(receiver)[1]], config, threads)
         values.append(value)
     return np.asarray(values)
 

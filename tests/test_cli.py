@@ -305,6 +305,9 @@ HUGE = ("--P-min", "1e307", "--P-max", "1.5e308", "--c2-min", "1e300", "--c2-max
     (("sweep", "--c2-max", "1e300", *GRID), "InvalidGain"),
     (("simulate", "--target", "decomposition", "--M", "17", "--rho", "-0.01",
       "--c2", "1", "--samples", "10000"), "InvalidM"),
+    # a layer with no power still needs its model: past the latent limit too
+    (("simulate", "--target", "san", "--M", "136", "--alpha-bar", "1",
+      "--c2", "1", "--samples", "1000"), "InvalidM"),
     (("bounds", "--M", "1099511627776", "--P", "10", "--c2", "1", "--rho", "-1e-12"),
      "InfeasibleRho"),
     (("bounds", "--M", "2", "--c2", "-4"), "InvalidGain"),  # as sweep --c2-min -1
@@ -679,6 +682,39 @@ def test_usage_without_command(capsys):
 def test_bare_config_flag_exits_2(capsys):
     code, _, err = run(capsys, "--config")
     assert code == 2 and "CcdpError" in err and "--config" in err
+
+
+def test_config_flag_with_and_without_equals_sign_alike(capsys, tmp_path):
+    # the command comes from the file in both spellings
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = bounds\nM = 2\nP = 10.0\nc2 = 4.0\nformat = json\n")
+    runs = [run(capsys, *flag) for flag in (("--config", str(cfg)), (f"--config={cfg}",))]
+    assert runs[0][0] == 0 and "inner" in runs[0][1]
+    assert runs[0] == runs[1]
+
+
+def test_unknown_target_fails_before_the_config_is_dumped(capsys, tmp_path):
+    dump = tmp_path / "run.cfg"
+    code, _, err = run(capsys, "simulate", "--M", "2", "--c2", "4", "--target", "nope",
+                       "--dump-config", str(dump))
+    assert code == 2 and err.startswith("CcdpError: target: ")
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--rho-values", "0"),
+    ("certify", "--theorem", "Th6", "--rho-values", "0"),
+])
+def test_grid_json_without_a_gap_is_valid_json(capsys, argv):
+    # a 2 x 2 grid below the small regime has no gap: maxGap is null at top
+    # level as in the results, never the non-JSON -Infinity
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    code, out, _ = run(capsys, *argv, "--M-values", "2", "--P-min", "1", "--P-max", "2",
+                       "--P-points", "2", "--c2-points", "2", "--format", "json")
+    doc = json.loads(out, parse_constant=refuse)
+    assert code == 0 and doc["maxGap"] is None and doc["results"]["maxGap"] is None
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

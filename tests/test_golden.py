@@ -1,16 +1,20 @@
-"""Golden outputs: the bytes of the standard grid commands.
+"""Golden outputs: the bytes of the standard grid commands and of ``simulate``.
 
-Each case runs ``cli.main`` into a temporary file and pins the sha256 of the
-file's text after its leading ``# key: value`` metadata lines, so a version
+Each grid case runs ``cli.main`` into a temporary file and pins the sha256 of
+the file's text after its leading ``# key: value`` metadata lines, so a version
 bump (which changes ``tool_version`` and the config hash) does not break it.
+Each ``simulate`` case pins the sha256 of its JSON ``results`` alone.
 
 The digests depend on the libm ``log2`` that ``math.log2`` calls, which every
 bound reads through: they were taken in the reference image (Debian 12,
 glibc 2.36, x86-64, Python 3.11.7, numpy 2.4.6).  A libm whose ``log2``
 rounds one input differently changes a digest without any change to ccdp.
+The ``simulate`` digests depend on numpy's Philox streams and its LAPACK QR
+and Cholesky as well.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -54,3 +58,34 @@ def test_standard_command_output_is_golden(tmp_path, case):
     text = out.read_text(encoding="utf-8")
     assert text.startswith("# tool_version: ")
     assert hashlib.sha256(_body(text).encode()).hexdigest() == digest
+
+
+# simulate case: (arguments, sha256 of json.dumps(results, sort_keys=True));
+# the results hold no path, and every case runs at the default seed 0
+P10 = ("--P", "10", "--c2", "4")
+GOLDEN_SIMULATE = {
+    "san": (("--target", "san", "--M", "2", *P10, "--alpha-bar", "0"),
+            "919f42643bd88dfa1dd5a7630ef9657bb04d88f8b355a9fd41278e333cf97acc"),
+    "gp": (("--target", "gp", "--M", "2", *P10, "--alpha-bar", "0.3"),
+           "06b86dd07882eed6c06f1812467e8c97464c240dcf6771d4ee35f39e8057a0f4"),
+    "gp-lam": (("--target", "gp", "--M", "3", *P10, "--rho", "-0.3", "--alpha-bar", "0.3",
+                "--lam", "0.5"),
+               "d7b381c32932b487076956db6b2b057a37f15547f082d297428451d090b3f7c2"),
+    "scheme": (("--target", "scheme", "--M", "2", *P10, "--alpha-bar", "0.3"),
+               "531b1acb95959fb461997648b24ce8140eba638bf808779b6cd21f174aab57c5"),
+    "scheme-rho": (("--target", "scheme", "--M", "3", *P10, "--rho", "0.64",
+                    "--alpha-bar", "0"),
+                   "33857f44e4c931b78dbf53c0b5fde0ed1d7ce9bfeeb39df74ce5bf9981fb2f87"),
+    "decomposition": (("--target", "decomposition", "--M", "4", "--P", "1", "--c2", "1",
+                       "--rho", repr(-1 / 3)),
+                      "fd8d3c00867e7a1ccd2103b66f07a7f9f96dcfcc8519b8453f818d107815b12c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATE))
+def test_simulate_results_are_golden(tmp_path, case):
+    args, digest = GOLDEN_SIMULATE[case]
+    out = tmp_path / f"{case}.json"
+    assert cli.main(["simulate", *args, "--samples", "20000", "--out", str(out)]) == 0
+    results = json.loads(out.read_text(encoding="utf-8"))["results"]
+    assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest

@@ -1,7 +1,7 @@
 """Monte Carlo estimators: functional correctness on analytic covariances,
 statistical agreement with closed forms, inflation-factor optimality."""
 
-from math import inf, log2, nan, sqrt
+from math import inf, isfinite, log2, nan, sqrt
 
 import numpy as np
 import pytest
@@ -461,6 +461,39 @@ def test_lambda_profile_peaks_at_mmse_value():
     assert abs(lambdas[int(np.argmax(profile))] - lam_star) <= 0.01 + 1e-12
 
 
+def test_lambda_profile_draws_once_and_equals_the_gp_estimate_at_each_lam(monkeypatch):
+    draws = []
+    draw = mc._draw_moment
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(mc, "_draw_moment", counted)
+    mc._MOMENTS.clear()
+    cfg = config(M=3, rho=0.64, ab=0.5, n=20_000, seed=8)
+    lambdas = np.linspace(0.0, 1.0, 101)
+    profile = gp_rate_lambda_profile(cfg, lambdas, receiver=2)
+    assert len(draws) == 1
+    assert [v.hex() for v in profile] == [
+        estimate_gp_rate(cfg, lam=lam, receiver=2).value.hex() for lam in lambdas]
+    assert len(draws) == 1
+    mc._MOMENTS.clear()
+
+
+@pytest.mark.parametrize("P, ab", [(10.0, 0.3), (10.0, 1.0), (5e-324, 0.9)])
+@pytest.mark.parametrize("rho", [0.0, 0.64])
+def test_gp_estimate_is_the_scheme_estimate_of_receiver_1(P, ab, rho):
+    # one pre-coded rate for both: at P = 5e-324 the common layer's power
+    # rounds to 0, so neither conditions on it
+    cfg = config(M=3, P=P, rho=rho, ab=ab, n=20_000, seed=2)
+    gp = estimate_gp_rate(cfg)
+    scheme_gp = verify_scheme_rate(cfg).per_receiver[0][1]
+    assert isfinite(gp.z_score)
+    assert (gp.value.hex(), gp.stderr.hex(), gp.closed_form.hex()) == (
+        scheme_gp.value.hex(), scheme_gp.stderr.hex(), scheme_gp.closed_form.hex())
+
+
 @pytest.mark.parametrize("receiver", [0, 3])
 def test_lambda_profile_rejects_a_receiver_outside_1_to_M(receiver):
     with pytest.raises(CcdpError, match="receiver must be in 1..2"):
@@ -530,12 +563,9 @@ def test_simulation_config_validation():
         SimulationConfig(params=ChannelParams(2, 1.0, 1.0, 0.0), samples=10)
     with pytest.raises(InvalidSplit):
         SimulationConfig(params=ChannelParams(2, 1.0, 1.0, 0.0), alpha_bar=1.2)
-    with pytest.raises(ValueError):
-        SimulationConfig(params=ChannelParams(2, 1.0, 1.0, 0.0), target="bogus")
 
 
-@pytest.mark.parametrize("over", [dict(samples=0), dict(samples=-5),
-                                  dict(target="bogus")])
+@pytest.mark.parametrize("over", [dict(samples=0), dict(samples=-5)])
 def test_simulation_config_errors_are_ccdp_errors(over):
     with pytest.raises(CcdpError):
         SimulationConfig(params=ChannelParams(2, 1.0, 1.0, 0.0), **over)
