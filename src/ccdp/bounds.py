@@ -57,9 +57,11 @@ class BoundResult:
     params: ChannelParams | None = None
 
     def __init__(self, value, branch, variant, params=None):
-        # Fills the fields in one dict update, as ChannelParams does; the
-        # generated __init__ makes one object.__setattr__ call per field.
-        self.__dict__.update(value=value, branch=branch, variant=variant, params=params)
+        d = self.__dict__  # direct stores, as in ChannelParams
+        d["value"] = value
+        d["branch"] = branch
+        d["variant"] = variant
+        d["params"] = params
 
 
 @dataclass(frozen=True)
@@ -254,6 +256,7 @@ _SPECS = {name: _Spec(M, rho, breaks, _Table("variant", pieces),
     ("baseline_outer_m", None, 0.0, None, {}),
     ("ccdp_m_inner_raw", None, 0.0, None, {}),
 )}
+_ES_OUTER = _SPECS["ccdp_es_outer"]  # read by its scalar function on every call
 
 
 def awgn_capacity(P):
@@ -382,9 +385,7 @@ def _inner_raw_value(M, P, c2, alpha_bar):
 def ccdp_m_inner(params):
     """Optimized M-receiver inner bound; see ``_INNER_M`` for its branches."""
     _variants("ccdp_m_inner", params.M, params.rho)
-    M, P, c2 = params.M, params.P, params.c2
-    label, fn = _INNER_M[0 if c2 <= M - 1.0 else 1 if c2 < P + 1.0 else 2]
-    return BoundResult(fn(M, P, c2, log2), label, THEOREM, params)
+    return ccdp_es_inner(params)  # at rho = 0 its effective gain is c2 itself
 
 
 def ccdp_m_outer(params, variant=THEOREM):
@@ -434,8 +435,7 @@ def ccdp_es_outer(params, variant=THEOREM):
     appendix outer at the effective gain, used for certification.
     """
     M, P = params.M, params.P
-    spec = _SPECS["ccdp_es_outer"]
-    pieces = (spec.at_2 if M == 2 else spec.pieces)[variant]
+    pieces = (_ES_OUTER.at_2 if M == 2 else _ES_OUTER.pieces)[variant]
     ceff2 = params.c2 * params.rho_bar_plus
     t1 = M - 1.0
     label, fn = pieces[0 if ceff2 <= t1 else 1 if ceff2 < t1 * (P + 1.0) else 2]
@@ -461,16 +461,14 @@ def _plane(M, P, c, rhos, *bounds):
     piece sees only its branch's elements, once for all bounds whose branch
     agrees (a piece of _SHIFTED as the one it adds to).  The model check runs for
     every rho; the pieces depend on M alone."""
-    for bound, _ in bounds:
-        for rho in rhos:
-            _variants(bound, M, rho)
     scales, index = np.unique(1.0 - np.maximum(rhos, 0.0), return_inverse=True)
     P, c2 = np.asarray(P, float).reshape(-1, 1, 1), (c * c)[:, None] * scales
     # log2 of each gain once (NaN for a gain <= 0, whose log2 no piece reads)
     plane_P, c2, lg_c2 = np.broadcast_arrays(P, c2, _log2_plane(np.where(c2 > 0.0, c2, nan)))
     done, slabs = {}, []  # a piece's values on one branch
     for bound, variant in bounds:
-        pieces = _variants(bound, M, rhos[0])[variant]
+        for rho in rhos:  # the model check at every rho; the pieces depend on M alone
+            pieces = _variants(bound, M, rho)[variant]
         if variant == RAW and np.any(c2 <= 0.0):
             raise DomainError("raw outer bound needs c > 0")
         t1, t2 = _SPECS[bound].breaks(M, P)

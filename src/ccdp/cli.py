@@ -145,6 +145,8 @@ def resolve_config(command, flag_values, file_values):
             resolved[name] = opt.default if text is None else opt.type(text)
         except ValueError as exc:
             raise CcdpError(f"{name}: {exc}") from None
+    if resolved.get("lam") is not None and resolved["target"] != "gp":
+        raise CcdpError(f"--lam applies to --target gp only, not {resolved['target']}")
     if "threads" in table:
         if resolved["threads"] is None:
             env = os.environ.get("CCDP_THREADS", "1")

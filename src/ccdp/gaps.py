@@ -381,26 +381,28 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
     M, rho, P, c) order.  An audit that would scan nothing is refused: InfeasibleRho
     without a feasible point, else WrongModel (no family, or none's model holds).
     """
-    if not any(bounds._applies(AUDIT_FAMILIES[name][0], M, rho) for name in families
-               for M in grid.m_values for rho in grid.rho_axis(M)):
+    calls = {}  # (M, the rho where its model holds): its families, one _plane call
+    for M in grid.m_values:
+        for name in dict.fromkeys(families):  # a repeated family is scanned once
+            rhos = tuple(rho for rho in grid.rho_axis(M)
+                         if bounds._applies(AUDIT_FAMILIES[name][0], M, rho))
+            if rhos:
+                calls.setdefault((M, rhos), []).append(name)
+    if not calls:
         raise (WrongModel if grid.size() else InfeasibleRho)(
             f"no family of {families} holds at a feasible point of the grid")
-    violations = []
+    found = {name: [] for name in families}
     P = np.array(grid.p_values)[:, None]
     c = np.sqrt(sorted(grid.c2_values))
-    for name in families:
-        bound, variant = AUDIT_FAMILIES[name]
-        for M in grid.m_values:
-            rhos = [rho for rho in grid.rho_axis(M) if bounds._applies(bound, M, rho)]
-            if not rhos:
-                continue
-            (values, _), = bounds._plane(M, P, c, rhos, (bound, variant))
+    for (M, rhos), names in calls.items():
+        slabs = bounds._plane(M, P, c, list(rhos), *map(AUDIT_FAMILIES.get, names))
+        for name, (values, _) in zip(names, slabs):
             increase = np.diff(values.transpose(2, 0, 1), axis=2)
             for j, i, k in zip(*np.nonzero(increase > MONOTONE_TOL)):
-                violations.append(MonotonicityViolation(
+                found[name].append(MonotonicityViolation(
                     name, M, P.item(i), rhos[j], c.item(k), c.item(k + 1),
                     increase.item(j, i, k)))
-    return violations
+    return [v for name in families for v in found[name]]
 
 
 # ---------------------------------------------------------------------------

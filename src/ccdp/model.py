@@ -70,11 +70,14 @@ class ChannelParams:
 
     def __init__(self, M, P, c, rho=0.0):
         # The generated __init__ would set each field through object.__setattr__;
-        # one dict update stores the fields and the derived values in one step.
-        if not isinstance(M, (int, np.integer)) or isinstance(M, bool) \
-                or not 2 <= M <= _MAX_M:
-            raise InvalidM(f"M must be an integer in [2, 2**53], got {M!r}")
-        M = int(M)
+        # direct __dict__ stores set the fields and the derived values.  An exact
+        # int M in range needs no other check; any other M is judged, and shown
+        # in the message, as given, and only an accepted one is made an int.
+        if type(M) is not int or not 2 <= M <= _MAX_M:
+            if not isinstance(M, (int, np.integer)) or isinstance(M, bool) \
+                    or not 2 <= M <= _MAX_M:
+                raise InvalidM(f"M must be an integer in [2, 2**53], got {M!r}")
+            M = int(M)
         if not 0.0 < P <= _MAX_P:
             raise InvalidPower(f"P must be in (0, {_MAX_P}], got {P!r}")
         if not 0.0 <= c <= _MAX_C:
@@ -82,8 +85,13 @@ class ChannelParams:
         # _rho_verdict inline, once per point: both eigenvalues >= -tol (NaN fails)
         if not 1.0 + (M - 1) * rho >= -FEASIBILITY_TOL <= 1.0 - rho:
             raise InfeasibleRho(f"rho={rho!r} outside [{-1.0 / (M - 1)}, 1.0] for M={M}")
-        self.__dict__.update(M=M, P=P, c=c, rho=rho, c2=c * c,
-                             rho_bar_plus=1.0 - max(rho, 0.0))
+        d = self.__dict__
+        d["M"] = M
+        d["P"] = P
+        d["c"] = c
+        d["rho"] = rho
+        d["c2"] = c * c
+        d["rho_bar_plus"] = 1.0 - (rho if rho > 0.0 else 0.0)  # 1 - max(rho, 0)
 
     def __getstate__(self):
         # A pickle holds the four fields alone, so pickles made before the

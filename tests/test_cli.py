@@ -488,6 +488,20 @@ def test_simulate_non_finite_lam_exits_2(capsys, lam):
     assert code == 2 and err.startswith("DomainError: ") and not out
 
 
+@pytest.mark.parametrize("target", ["san", "scheme", "decomposition"])
+def test_simulate_lam_is_refused_by_a_target_that_does_not_read_it(capsys, tmp_path, target):
+    # only gp reads --lam; elsewhere it would be echoed in config and the hash unused
+    argv = ("simulate", "--target", target, "--M", "2", "--P", "10", "--c2", "4",
+            "--rho", "0.5", "--samples", "10000")
+    code, out, err = run(capsys, *argv, "--lam", "0.1")
+    assert code == 2 and not out
+    assert err.startswith(f"CcdpError: --lam applies to --target gp only, not {target}")
+    config = tmp_path / "lam.cfg"
+    config.write_text("lam = 0.1\n")
+    assert run(capsys, *argv, "--config", str(config))[:2] == (2, "")
+    assert run(capsys, *argv)[0] == 0
+
+
 def _floats(doc):
     if isinstance(doc, dict):
         doc = list(doc.values())

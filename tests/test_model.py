@@ -4,6 +4,7 @@ seeded sampling."""
 import pickle
 import re
 from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
+from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,7 @@ def test_non_finite_fields_rejected(field, exc, value):
 def test_rho_bar_plus():
     assert ChannelParams(2, 1.0, 1.0, 0.75).rho_bar_plus == 0.25
     assert ChannelParams(2, 1.0, 1.0, -0.5).rho_bar_plus == 1.0
+    assert ChannelParams(2, 1.0, 1.0, -0.0).rho_bar_plus.hex() == (1.0).hex()
 
 
 @pytest.mark.parametrize("args,exc,message", [
@@ -117,11 +119,35 @@ def test_rho_bar_plus():
     ((3, 10.0, 2.0, 5.0), InfeasibleRho, "rho=5.0 outside [-0.5, 1.0] for M=3"),
     ((np.int64(4), 10.0, 2.0, -0.5), InfeasibleRho,
      "rho=-0.5 outside [-0.3333333333333333, 1.0] for M=4"),
+    # an M that is not exactly an int is judged, and shown, as given: before int(M)
+    ((np.int64(1), 10.0, 2.0), InvalidM,
+     "M must be an integer in [2, 2**53], got np.int64(1)"),
+    ((np.uint64(2 ** 60), 10.0, 2.0), InvalidM,
+     "M must be an integer in [2, 2**53], got np.uint64(1152921504606846976)"),
+    ((np.True_, 10.0, 2.0), InvalidM, "M must be an integer in [2, 2**53], got np.True_"),
 ])
 def test_rejection_messages(args, exc, message):
     with pytest.raises(exc) as info:
         ChannelParams(*args)
     assert str(info.value) == message
+
+
+class Receivers(IntEnum):
+    THREE = 3
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("M, value", [
+    (Receivers.THREE, 3), (Count(5), 5), (np.uint8(200), 200), (np.int64(2 ** 53), 2 ** 53),
+])
+def test_int_subclasses_and_numpy_integers_are_stored_as_int(M, value):
+    p = ChannelParams(M, 10.0, 2.0, 0.25)
+    assert type(p.M) is int and p.M == value
+    assert p == ChannelParams(value, 10.0, 2.0, 0.25)
+    assert repr(p) == f"ChannelParams(M={value}, P=10.0, c=2.0, rho=0.25)"
 
 
 # ---------------------------------------------------------------------------
