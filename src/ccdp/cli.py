@@ -11,7 +11,6 @@ goes to stderr.  Exit status: 0 on success, 1 when a certify run misses its
 claimed gap, 2 on invalid input, 3 on an internal error.
 """
 
-import argparse
 import contextlib
 import hashlib
 import json
@@ -45,6 +44,9 @@ def _format_opt(*formats):
 
 
 COMMANDS = ("bounds", "sweep", "certify", "fig3", "simulate", "audit")
+_USAGE = (f"usage: ccdp {{{','.join(COMMANDS)}}} [--name value | --name=value ...]\n"
+          f"       ccdp --config FILE   (command taken from the file)\n"
+          f"       ccdp COMMAND --help  (the command's options)")
 
 _GRID_OPTS = {
     "M-values": Opt(int_list, (2, 3, 4, 5, 6, 7, 8), "comma list of receiver counts"),
@@ -103,6 +105,13 @@ OPTION_TABLES = {
               "format": _format_opt("csv", "json")},
 }
 
+# Read by main itself, never resolved, dumped or hashed.
+_FILE_OPTS = {"config": Opt(str, None, "config file path"),
+              "dump-config": Opt(str, None, "write the resolved config to this path")}
+
+# The simulate options that only some targets read.
+_TARGET_OPTS = {"lam": ("gp",), "alpha-bar": ("san", "gp", "scheme")}
+
 
 def _format_value(value):
     if isinstance(value, float):
@@ -132,21 +141,22 @@ def resolve_config(command, flag_values, file_values):
     option turns the text of a flag or of a file line into its value, and a
     text it rejects is a CcdpError naming the option."""
     table = OPTION_TABLES[command]
-    unknown = set(file_values) - set(table) - {"command"}
+    unknown = [f"--{name}" for name in flag_values if name not in table]
+    unknown += sorted(set(file_values) - set(table) - {"command"})
     if unknown:
         raise CcdpError(
-            f"unknown config keys {sorted(unknown)}; valid keys for "
-            f"{command}: {sorted(table)}")
+            f"unknown options {unknown}; valid keys for {command}: {sorted(table)}")
     resolved = {}
     for name, opt in table.items():
-        text = flag_values.get(name)
-        text = file_values.get(name) if text is None else text
+        text = flag_values.get(name, file_values.get(name))
         try:
             resolved[name] = opt.default if text is None else opt.type(text)
         except ValueError as exc:
             raise CcdpError(f"{name}: {exc}") from None
-    if resolved.get("lam") is not None and resolved["target"] != "gp":
-        raise CcdpError(f"--lam applies to --target gp only, not {resolved['target']}")
+    for name, targets in _TARGET_OPTS.items():
+        if resolved.get(name) is not None and resolved["target"] not in targets:
+            raise CcdpError(f"--{name} applies to --target {', '.join(targets)} "
+                            f"only, not {resolved['target']}")
     if "threads" in table:
         if resolved["threads"] is None:
             env = os.environ.get("CCDP_THREADS", "1")
@@ -177,28 +187,26 @@ def config_hash(command, resolved):
         dump_config_text(command, material).encode()).hexdigest()[:16]
 
 
-def _paired(args, command):
-    """args with each ``--name value`` of ``command`` as ``--name=value``: argparse
-    reads a value such as -1e-05 as a flag (it takes plain negative numbers only)."""
-    names = {f"--{name}" for name in (*OPTION_TABLES[command], "config", "dump-config")}
-    out = []
-    for arg in args:
-        if out and out[-1] in names and not arg.startswith("--"):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
-def _build_parser(command):
-    # No abbreviations: the option names are exactly the ones _paired joins.
-    parser = argparse.ArgumentParser(prog=f"ccdp {command}", allow_abbrev=False)
-    for name, opt in OPTION_TABLES[command].items():
-        parser.add_argument(f"--{name}", default=None, dest=name, help=opt.help)
-    parser.add_argument("--config", default=None, help="config file path")
-    parser.add_argument("--dump-config", default=None, dest="dump_config",
-                        help="write the resolved config to this path")
-    return parser
+def _flags(args):
+    """{name: text} of each ``--name=value`` or ``--name value`` in args, as
+    read_config_file reads a file; the value is always the next token, so
+    ``--rho -1e-3`` is a value.  ``-h`` or ``--help`` reads as ``help``."""
+    flags, tokens = {}, iter(args)
+    for arg in tokens:
+        if arg in ("-h", "--help"):
+            arg = "--help="
+        name, joined, text = arg.partition("=")
+        if not name.startswith("--"):
+            raise CcdpError(f"unexpected argument {arg!r}: an option is --name value")
+        name = name[2:]
+        if name in flags:
+            raise CcdpError(f"--{name} is given more than once")
+        if not joined:
+            text = next(tokens, None)
+            if text is None:
+                raise CcdpError(f"--{name} needs a value")
+        flags[name] = text
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -395,32 +403,8 @@ def cmd_fig3(resolved):
 
 def cmd_simulate(resolved):
     params, _ = _params_from(resolved)
-    target = resolved["target"]
-    ab = resolved["alpha-bar"]
-    if ab is None:
-        ab = bounds.alpha_star(params).alpha_bar
-    config = mc.SimulationConfig(params=params, samples=resolved["samples"],
-                                 seed=resolved["seed"], alpha_bar=ab)
-    threads = resolved["threads"]
-    if target == "san":
-        results = _estimate_dict(mc.estimate_san_rate(config, threads=threads))
-    elif target == "gp":
-        results = _estimate_dict(
-            mc.estimate_gp_rate(config, lam=resolved["lam"], threads=threads))
-    elif target == "scheme":
-        report = mc.verify_scheme_rate(config, threads=threads)
-        results = {
-            "combined_rate": report.combined_rate,
-            "combined_stderr": report.combined_stderr,
-            "min_rate": report.min_rate,
-            "closed_form": report.closed_form,
-            "z_score": report.z_score,
-            "per_receiver": [
-                {"san": _estimate_dict(san),
-                 "gp": None if gp is None else _estimate_dict(gp)}
-                for san, gp in report.per_receiver],
-        }
-    elif target == "decomposition":
+    target, threads = resolved["target"], resolved["threads"]
+    if target == "decomposition":
         decomp = decompose_states(params)
         err = mc.verify_decomposition_stats(decomp, resolved["samples"],
                                             resolved["seed"], threads)
@@ -428,7 +412,31 @@ def cmd_simulate(resolved):
                    "coefficients": {k: float(v)
                                     for k, v in decomp.coefficients.items()},
                    "max_abs_covariance_error": err}
-    results["alpha_bar"] = ab
+    else:
+        ab = resolved["alpha-bar"]
+        if ab is None:
+            ab = bounds.alpha_star(params).alpha_bar
+        config = mc.SimulationConfig(params=params, samples=resolved["samples"],
+                                     seed=resolved["seed"], alpha_bar=ab)
+        if target == "san":
+            results = _estimate_dict(mc.estimate_san_rate(config, threads=threads))
+        elif target == "gp":
+            results = _estimate_dict(
+                mc.estimate_gp_rate(config, lam=resolved["lam"], threads=threads))
+        else:
+            report = mc.verify_scheme_rate(config, threads=threads)
+            results = {
+                "combined_rate": report.combined_rate,
+                "combined_stderr": report.combined_stderr,
+                "min_rate": report.min_rate,
+                "closed_form": report.closed_form,
+                "z_score": report.z_score,
+                "per_receiver": [
+                    {"san": _estimate_dict(san),
+                     "gp": None if gp is None else _estimate_dict(gp)}
+                    for san, gp in report.per_receiver],
+            }
+        results["alpha_bar"] = ab
     _write(_envelope("simulate", resolved, results, with_seed=True),
            resolved["out"])
     print(f"simulate {target}: samples={resolved['samples']} "
@@ -464,62 +472,42 @@ def cmd_audit(resolved):
     return 0
 
 
-_HANDLERS = {
-    "bounds": cmd_bounds,
-    "sweep": cmd_sweep,
-    "certify": cmd_certify,
-    "fig3": cmd_fig3,
-    "simulate": cmd_simulate,
-    "audit": cmd_audit,
-}
+_HANDLERS = dict(zip(COMMANDS, (cmd_bounds, cmd_sweep, cmd_certify, cmd_fig3,
+                                 cmd_simulate, cmd_audit)))
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("-h", "--help"):
-        print(f"ccdp {__version__} - capacity bound engine\n"
-              f"usage: ccdp {{{','.join(COMMANDS)}}} [options]\n"
-              f"       ccdp --config FILE   (command taken from the file)")
+    if argv[:1] in (["-h"], ["--help"]):
+        print(f"ccdp {__version__} - capacity bound engine\n{_USAGE}")
         return 0
-
-    command, rest = None, argv
-    if argv and argv[0] in COMMANDS:
-        command, rest = argv[0], argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
 
     try:
-        # Allow the command to come from a config file.
-        file_values = {}
-        if command is None:
-            # --config FILE or --config=FILE, as argparse reads them
-            at = next((i for i, arg in enumerate(argv)
-                       if arg.partition("=")[0] == "--config"), None)
-            if at is None:
-                sys.stderr.write(
-                    f"usage: ccdp {{{','.join(COMMANDS)}}} [options]\n")
-                return 2
-            _, joined, path = argv[at].partition("=")
-            if not joined:
-                if at + 1 == len(argv):
-                    raise CcdpError("--config needs a file path")
-                path = argv[at + 1]
-            file_values = read_config_file(path)
+        flags = _flags(argv[1:] if command else argv)
+        path = flags.pop("config", None)
+        file_values = {} if path is None else read_config_file(path)
+        if command is None:  # the command comes from the config file
+            if path is None:
+                raise CcdpError(_USAGE)
             command = file_values.get("command")
             if command not in COMMANDS:
                 raise CcdpError(
                     f"config file {path} must set command to one of {COMMANDS}")
-
-        parser = _build_parser(command)
-        ns = parser.parse_args(_paired(rest, command))
-        flag_values = {name: getattr(ns, name) for name in OPTION_TABLES[command]}
-        if ns.config and not file_values:
-            file_values = read_config_file(ns.config)
         if file_values.get("command", command) != command:
             raise CcdpError(
                 f"config file command={file_values['command']} does not match "
                 f"subcommand {command}")
-        resolved = resolve_config(command, flag_values, file_values)
-        if ns.dump_config:
-            with open(ns.dump_config, "w", encoding="utf-8") as fh:
+        if "help" in flags:
+            print(f"usage: ccdp {command} [--name value | --name=value ...]")
+            for name, opt in {**OPTION_TABLES[command], **_FILE_OPTS}.items():
+                default = "" if opt.default is None else f" (default: {_format_value(opt.default)})"
+                print(f"  --{name:<14} {opt.help}{default}")
+            return 0
+        dump = flags.pop("dump-config", None)
+        resolved = resolve_config(command, flags, file_values)
+        if dump is not None:
+            with open(dump, "w", encoding="utf-8") as fh:
                 fh.write(dump_config_text(command, resolved))
         return _HANDLERS[command](resolved)
     except Exception as exc:  # CcdpError is a ValueError

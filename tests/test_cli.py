@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ccdp import SweepGrid, errors, run_sweep
-from ccdp.cli import main
+from ccdp.cli import OPTION_TABLES, main
 from ccdp.gaps import CSV_COLUMNS, rows_to_csv
 
 
@@ -258,10 +258,9 @@ def test_log_axis_ends_are_the_given_ends(capsys, tmp_path, p_max, points):
 
 def test_sweep_threads_flag_rejected(capsys):
     # only simulate reads a thread count, so only simulate takes one
-    with pytest.raises(SystemExit) as exc:  # argparse's usage error
-        main(["sweep", "--M-values", "2", "--threads", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    code, out, err = run(capsys, "sweep", "--M-values", "2", "--threads", "2")
+    assert code == 2 and not out
+    assert err.startswith("CcdpError: unknown options ['--threads']")
 
 
 GRID = ("--P-points", "2", "--c2-points", "2")
@@ -358,11 +357,35 @@ def test_an_estimate_below_the_round_off_of_its_log_dets_keeps_an_honest_z(capsy
 
 @pytest.mark.parametrize("argv", [("--rh", "-1e-3"), ("--rh=-1e-3",), ("--rh", "0.5")])
 def test_an_abbreviated_option_is_refused(capsys, argv):
-    # only the exact option names exist, the ones a negative value is joined to
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "bounds", "--M", "2", "--c2", "4", *argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --rh" in capsys.readouterr().err
+    # only the exact option names exist: --rh is not read as --rho
+    code, out, err = run(capsys, "bounds", "--M", "2", "--c2", "4", *argv)
+    assert code == 2 and not out
+    assert err.startswith("CcdpError: unknown options ['--rh']")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("7",), "unexpected argument '7': an option is --name value"),
+    (("--P", "10", "7"), "unexpected argument '7': an option is --name value"),
+    (("-1e-3",), "unexpected argument '-1e-3': an option is --name value"),
+    (("--M", "3"), "--M is given more than once"),
+    (("--M=3",), "--M is given more than once"),
+    (("--rho",), "--rho needs a value"),
+])
+def test_a_usage_error_returns_2_naming_it(capsys, argv, message):
+    # never argparse's SystemExit: exit 2 with the CcdpError and no output
+    code, out, err = run(capsys, "bounds", "--M", "2", "--c2", "4", *argv)
+    assert (code, out, err) == (2, "", f"CcdpError: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["bounds", "sweep", "certify", "fig3", "simulate",
+                                     "audit"])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_option_of_the_command(capsys, command, flag):
+    code, out, err = run(capsys, command, flag)
+    assert code == 0 and not err and out.startswith(f"usage: ccdp {command} ")
+    listed = [line.split()[0] for line in out.splitlines()[1:]]
+    assert listed == [f"--{name}" for name in (*OPTION_TABLES[command], "config",
+                                               "dump-config")]
 
 
 POINT = ("--M", "2", "--P", "10", "--c2", "4")
@@ -488,17 +511,21 @@ def test_simulate_non_finite_lam_exits_2(capsys, lam):
     assert code == 2 and err.startswith("DomainError: ") and not out
 
 
-@pytest.mark.parametrize("target", ["san", "scheme", "decomposition"])
-def test_simulate_lam_is_refused_by_a_target_that_does_not_read_it(capsys, tmp_path, target):
-    # only gp reads --lam; elsewhere it would be echoed in config and the hash unused
+@pytest.mark.parametrize("target, name, readers", [
+    ("san", "lam", "gp"), ("scheme", "lam", "gp"), ("decomposition", "lam", "gp"),
+    ("decomposition", "alpha-bar", "san, gp, scheme"),
+])
+def test_simulate_lam_is_refused_by_a_target_that_does_not_read_it(capsys, tmp_path, target,
+                                                                   name, readers):
+    # only gp reads --lam and decomposition reads no --alpha-bar; a target would
+    # echo an option it does not read in config and the hash, unused
     argv = ("simulate", "--target", target, "--M", "2", "--P", "10", "--c2", "4",
             "--rho", "0.5", "--samples", "10000")
-    code, out, err = run(capsys, *argv, "--lam", "0.1")
-    assert code == 2 and not out
-    assert err.startswith(f"CcdpError: --lam applies to --target gp only, not {target}")
-    config = tmp_path / "lam.cfg"
-    config.write_text("lam = 0.1\n")
-    assert run(capsys, *argv, "--config", str(config))[:2] == (2, "")
+    message = f"CcdpError: --{name} applies to --target {readers} only, not {target}\n"
+    assert run(capsys, *argv, f"--{name}", "0.1") == (2, "", message)
+    config = tmp_path / "option.cfg"
+    config.write_text(f"{name} = 0.1\n")
+    assert run(capsys, *argv, "--config", str(config)) == (2, "", message)
     assert run(capsys, *argv)[0] == 0
 
 
@@ -688,9 +715,11 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3 and err == "RuntimeError: boom\n"
 
 
-def test_usage_without_command(capsys):
-    code, _, err = run(capsys)
-    assert code == 2 and "usage" in err
+@pytest.mark.parametrize("argv", [(), ("bogus",), ("--M", "2")])
+def test_usage_without_command(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and err.startswith("CcdpError: ")
+    assert "usage" in err or "unexpected argument 'bogus'" in err
 
 
 def test_bare_config_flag_exits_2(capsys):

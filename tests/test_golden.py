@@ -76,9 +76,10 @@ GOLDEN_SIMULATE = {
     "scheme-rho": (("--target", "scheme", "--M", "3", *P10, "--rho", "0.64",
                     "--alpha-bar", "0"),
                    "33857f44e4c931b78dbf53c0b5fde0ed1d7ce9bfeeb39df74ce5bf9981fb2f87"),
+    # decomposition reads no alpha-bar, so its results hold no alpha_bar
     "decomposition": (("--target", "decomposition", "--M", "4", "--P", "1", "--c2", "1",
                        "--rho", repr(-1 / 3)),
-                      "fd8d3c00867e7a1ccd2103b66f07a7f9f96dcfcc8519b8453f818d107815b12c"),
+                      "0d385221b852220fac7ceb8eb808884755d504003357df5642b1e6ed25e1a0d6"),
 }
 
 

@@ -1,4 +1,5 @@
-"""Line budget of the bound engine: src/ccdp/bounds.py and src/ccdp/gaps.py together."""
+"""Line budgets: the bound engine (src/ccdp/bounds.py and src/ccdp/gaps.py together)
+and the command-line front end (src/ccdp/cli.py)."""
 
 from pathlib import Path
 
@@ -8,7 +9,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ccdp"
 # lowers it; it never rises, and the aim is 947.
 BUDGET = 998
 
+# What cli.py holds now, as wc -l counts; like BUDGET, it only falls.
+CLI_BUDGET = 519
+
 
 def test_bounds_and_gaps_stay_within_their_line_budget():
     lines = sum((SRC / name).read_bytes().count(b"\n") for name in ("bounds.py", "gaps.py"))
     assert lines <= BUDGET <= 998
+
+
+def test_cli_stays_within_its_line_budget():
+    assert (SRC / "cli.py").read_bytes().count(b"\n") <= CLI_BUDGET <= 519
