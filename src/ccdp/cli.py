@@ -172,10 +172,8 @@ def resolve_config(command, flag_values, file_values):
 
 def dump_config_text(command, resolved):
     lines = [f"command = {command}"]
-    for name in sorted(resolved):
-        if resolved[name] is None:
-            continue
-        lines.append(f"{name} = {_format_value(resolved[name])}")
+    lines += [f"{name} = {_format_value(value)}"
+              for name, value in sorted(resolved.items()) if value is not None]
     return "\n".join(lines) + "\n"
 
 
@@ -255,12 +253,14 @@ def _envelope(command, resolved, results, max_gap=None, certified=None,
         indent=2, allow_nan=True) + "\n"
 
 
-def _params_from(opts):
-    """(ChannelParams, squared gain) of the --c2 or --c option; --c, or a
-    negative --c2, is checked as the gain itself, as the grid axes check it."""
+def _params_from(opts, gain=None):
+    """(ChannelParams, squared gain) of --c2 or --c, else of gain if set; --c, or
+    a negative --c2, is checked as the gain itself, as the grid axes check it."""
     c2, c = opts.get("c2"), opts.get("c")
     if c2 is None and c is None:
-        raise CcdpError("one of --c2 or --c is required")
+        if gain is None:
+            raise CcdpError("one of --c2 or --c is required")
+        c = gain
     if c2 is not None and c is not None and abs(c * c - c2) > 1e-9:
         raise CcdpError(f"--c2 ({c2}) and --c ({c}) disagree")
     if c is None:
@@ -402,8 +402,8 @@ def cmd_fig3(resolved):
 
 
 def cmd_simulate(resolved):
-    params, _ = _params_from(resolved)
     target, threads = resolved["target"], resolved["threads"]
+    params, _ = _params_from(resolved, 0.0 if target == "decomposition" else None)
     if target == "decomposition":
         decomp = decompose_states(params)
         err = mc.verify_decomposition_stats(decomp, resolved["samples"],

@@ -214,7 +214,8 @@ class SchemeSystem:
     decomposition), the common state component S_c where one exists, the
     outputs Y_m, the per-receiver auxiliaries U_m = X_pas + lam*c*S_m and,
     for positively correlated states, the common-layer auxiliary
-    U_san = X_san + lam_c*(c*sqrt(rho))*S_c.
+    U_san = X_san + lam_c*(c*sqrt(rho))*S_c.  The rows keep only the basis
+    columns some row weights; ``dim`` counts them.
     """
 
     def __init__(self, params, alpha_bar, lam=None):
@@ -223,10 +224,9 @@ class SchemeSystem:
         M, P, c, rho = params.M, params.P, params.c, params.rho
         W, _ = decompose_states(params).mixing_matrix()
         K = W.shape[1]
-        self.dim = 2 + K + M
 
         def row():
-            return np.zeros(self.dim)
+            return np.zeros(2 + K + M)
 
         # the common and the pre-coded layer's powers
         self.a_power = a_power = (1.0 - self.alpha_bar) * P
@@ -252,7 +252,11 @@ class SchemeSystem:
             noise = ab_power + (1.0 - rho) * params.c2 + 1.0
             self.lam_common = a_power / (a_power + noise) if a_power > 0 else 0.0
             rows["U_san"] = x_san + self.lam_common * (c * sqrt(rho)) * s_c
-        self.rows = rows
+        # Only the live basis columns are drawn: a column no row weights (a
+        # layer without power, a latent of weight 0) adds 0 to every sample.
+        live = np.any(np.stack(list(rows.values())) != 0.0, axis=0)
+        self.rows = {name: r[live] for name, r in rows.items()}
+        self.dim = int(np.count_nonzero(live))
 
     def receiver(self, m):
         """Names of receiver m's output, auxiliary and state rows."""
@@ -443,6 +447,7 @@ def verify_decomposition_stats(decomp, n, seed, threads=1):
     if n < 10_000:
         raise CcdpError(f"need n >= 10000, got {n}")
     W, _ = decomp.mixing_matrix()
+    W = W[:, np.any(W != 0.0, axis=0)]  # a latent of weight 0 is not drawn
     emp = W @ _second_moment(n, W.shape[1], seed, threads) @ W.T
     target = state_covariance(decomp.M, decomp.rho).entries
     return float(np.max(np.abs(emp - target)))

@@ -503,6 +503,40 @@ def test_simulate_decomposition(capsys, tmp_path):
     assert doc["results"]["max_abs_covariance_error"] < 0.05
 
 
+def test_simulate_decomposition_reads_no_gain_and_checks_one_given(capsys, tmp_path):
+    # it reads M and rho only, so it runs without --c2 or --c; a gain given
+    # (as the benchmark's --P 1 --c2 1) is checked and changes no result
+    base = ("simulate", "--target", "decomposition", "--M", "4", "--rho", "0.2",
+            "--samples", "20000")
+    results = []
+    for gain in ((), ("--P", "1", "--c2", "1"), ("--c", "3")):
+        f = tmp_path / "d.json"
+        assert run(capsys, *base, *gain, "--out", str(f))[0] == 0
+        results.append(json.loads(f.read_text())["results"])
+    assert results[0] == results[1] == results[2]
+    assert results[0]["kind"] == "positive-common"
+    for bad, error in ((("--c2", "-1"), "InvalidGain"), (("--P", "-1"), "InvalidPower"),
+                       (("--c", "2", "--c2", "1"), "CcdpError")):
+        code, out, err = run(capsys, *base, *bad)
+        assert code == 2 and out == "" and err.startswith(f"{error}: ")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("--config", "missing.cfg"), "FileNotFoundError"),
+    (("bounds", "--config", "missing.cfg"), "FileNotFoundError"),
+    (("bounds", "--M", "2", "--c2", "4", "--out", "no-such-dir/out.txt"),
+     "FileNotFoundError"),
+    (("sweep", "--M-values", "2", "--P-points", "1", "--c2-points", "1",
+      "--dump-config", "no-such-dir/run.cfg"), "FileNotFoundError"),
+])
+def test_an_unreadable_or_unwritable_path_exits_2_naming_its_os_error(
+        capsys, tmp_path, monkeypatch, argv, error):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith(f"{error}: ")
+    assert "no-such-dir" not in os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_simulate_non_finite_lam_exits_2(capsys, lam):
     code, out, err = run(capsys, "simulate", "--target", "gp", "--M", "2",

@@ -1,5 +1,5 @@
-"""Line budgets: the bound engine (src/ccdp/bounds.py and src/ccdp/gaps.py together)
-and the command-line front end (src/ccdp/cli.py)."""
+"""Line budgets: the bound engine (src/ccdp/bounds.py and src/ccdp/gaps.py together),
+the command-line front end (src/ccdp/cli.py) and the Monte Carlo layer (src/ccdp/mc.py)."""
 
 from pathlib import Path
 
@@ -12,6 +12,9 @@ BUDGET = 998
 # What cli.py holds now, as wc -l counts; like BUDGET, it only falls.
 CLI_BUDGET = 519
 
+# What mc.py holds now, as wc -l counts; like BUDGET, it only falls.
+MC_BUDGET = 505
+
 
 def test_bounds_and_gaps_stay_within_their_line_budget():
     lines = sum((SRC / name).read_bytes().count(b"\n") for name in ("bounds.py", "gaps.py"))
@@ -20,3 +23,7 @@ def test_bounds_and_gaps_stay_within_their_line_budget():
 
 def test_cli_stays_within_its_line_budget():
     assert (SRC / "cli.py").read_bytes().count(b"\n") <= CLI_BUDGET <= 519
+
+
+def test_mc_stays_within_its_line_budget():
+    assert (SRC / "mc.py").read_bytes().count(b"\n") <= MC_BUDGET <= 505

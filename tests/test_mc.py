@@ -19,11 +19,12 @@ from ccdp import (
     gaussian_mi,
     gp_rate_closed_form,
     gp_rate_lambda_profile,
+    state_covariance,
     state_split_reduction,
     verify_decomposition_stats,
     verify_scheme_rate,
 )
-from ccdp import mc
+from ccdp import cli, mc
 from ccdp.mc import SchemeSystem, delta_stderr, mi_gradient
 
 
@@ -280,6 +281,76 @@ def test_shared_second_moments_hold_under_concurrent_callers():
     assert len(mc._MOMENTS) <= mc._MOMENT_SLOTS
 
 
+# The six points of acceptance criterion 8 and the four of criterion 9, as
+# `ccdp simulate` runs them, with the width of the one moment each draws.
+_P2 = ("--M", "2", "--P", "10", "--c2", "4", "--rho", "0")
+_SIMULATE_WIDTHS = [
+    (("--target", "san", *_P2, "--alpha-bar", "0"), 5),
+    (("--target", "san", "--M", "2", "--P", "10", "--c2", "0", "--alpha-bar", "0"), 5),
+    (("--target", "gp", *_P2, "--alpha-bar", "1"), 5),
+    (("--target", "gp", *_P2, "--alpha-bar", "0.3"), 6),
+    (("--target", "scheme", *_P2, "--alpha-bar", "0.3"), 6),
+    (("--target", "scheme", "--M", "3", "--P", "10", "--c2", "4", "--rho", "0.64",
+      "--alpha-bar", "0"), 8),
+    (("--target", "decomposition", "--M", "2", "--rho", "0.5"), 3),
+    (("--target", "decomposition", "--M", "4", "--rho", repr(-1.0 / 3.0)), 6),
+    (("--target", "decomposition", "--M", "5", "--rho", "0.3"), 6),
+    (("--target", "decomposition", "--M", "3", "--rho", "-0.5"), 3),
+]
+
+
+@pytest.fixture
+def drawn_widths(monkeypatch):
+    # the width of each moment drawn during the test; none is shared with another
+    widths = []
+    draw = mc._draw_moment
+
+    def counted(n, width, seed, threads):
+        widths.append(width)
+        return draw(n, width, seed, threads)
+
+    monkeypatch.setattr(mc, "_draw_moment", counted)
+    mc._MOMENTS.clear()
+    yield widths
+    mc._MOMENTS.clear()
+
+
+def test_simulate_draws_only_the_live_basis_columns(drawn_widths, tmp_path):
+    # the full bases are 7, 7, 7, 7, 7, 9, 3, 10, 6 and 6 columns wide
+    for seed, (args, _) in enumerate(_SIMULATE_WIDTHS):
+        assert cli.main(["simulate", *args, "--samples", "10000", "--seed", str(seed),
+                         "--out", str(tmp_path / "out.json")]) == 0
+    assert drawn_widths == [width for _, width in _SIMULATE_WIDTHS]
+
+
+def _design_points():
+    # seeded (M, rho, alpha_bar, c) points, with c = 0, alpha_bar at 0 and 1,
+    # and rho at both ends of its feasible range among them
+    rng = np.random.default_rng(2023)
+    points = []
+    for M in range(2, 9):
+        for rho in (-1.0 / (M - 1), 0.0, 1.0, rng.uniform(-1.0 / (M - 1), 1.0)):
+            for ab in (0.0, 1.0, rng.uniform()):
+                for c in (0.0, float(np.exp(rng.uniform(-5.0, 5.0)))):
+                    points.append((M, rho, ab, c))
+    return points
+
+
+def test_a_scheme_system_keeps_no_dead_basis_column():
+    for M, rho, ab, c in _design_points():
+        params = ChannelParams(M, 10.0, c, rho)
+        system = SchemeSystem(params, ab)
+        A = system.transform(system.rows)
+        assert A.shape[1] == system.dim and np.all(np.any(A != 0.0, axis=0)), (M, rho, ab, c)
+        # no live column was dropped: the states and outputs keep their covariance
+        sigma = state_covariance(M, rho).entries
+        states = system.analytic_cov([f"S_{m}" for m in range(1, M + 1)])
+        outputs = system.analytic_cov([f"Y_{m}" for m in range(1, M + 1)])
+        assert np.allclose(states, sigma, rtol=0.0, atol=1e-12), (M, rho, ab, c)
+        assert np.allclose(outputs, 10.0 + params.c2 * sigma + np.eye(M),
+                           rtol=1e-12, atol=1e-12), (M, rho, ab, c)
+
+
 def test_stderr_calibrated_against_seed_spread():
     # delta-method stderr should match the empirical spread across seeds
     ests = [estimate_san_rate(config(n=50_000, seed=s)) for s in range(16)]
@@ -527,6 +598,14 @@ def test_decomposition_stats_small(M, rho):
     d = decompose_states(ChannelParams(M, 1.0, 1.0, rho))
     err = verify_decomposition_stats(d, 100_000, seed=2)
     assert err < 0.03
+
+
+@pytest.mark.parametrize("M, live", [(3, 3), (4, 6), (8, 28)])
+def test_decomposition_stats_at_the_boundary_draw_the_pairs_only(drawn_widths, M, live):
+    # at rho = -1/(M-1) every residual latent has weight 0 and is not drawn
+    d = decompose_states(ChannelParams(M, 1.0, 1.0, -1.0 / (M - 1)))
+    assert verify_decomposition_stats(d, 10**6, seed=13) < 0.01
+    assert drawn_widths == [live]
 
 
 def test_decomposition_error_shrinks_like_root_n():
