@@ -12,9 +12,10 @@ variance of such a sum from n zero-mean samples, (2/n) * tr(G Sigma G Sigma)
 for its gradient G (nats), is (2/n) * sum_{k,j} w_k w_j ||Q_k^T Q_j||_F^2 over
 the blocks' orthonormal factors Q_k and weights w_k.
 
-Blocks use the counter-based streams of :mod:`ccdp.model`, so estimates are
-reproducible for a fixed seed and can be accumulated by parallel workers
-without changing the result (partial sums are merged in block order).
+Blocks use the counter-based streams of :mod:`ccdp.model`, drawn in
+cache-sized pieces, so estimates are reproducible for a fixed seed and can be
+accumulated by parallel workers without changing the result (each piece's
+product is added in piece order).
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from .errors import CcdpError, DegenerateCovariance, DomainError, InvalidSplit
 from .model import (
     SAMPLE_BLOCK,
     ChannelParams,
-    block_generator,
     decompose_states,
     normal_blocks,
     state_covariance,
@@ -167,9 +167,9 @@ def _second_moment(n, width, seed, threads=1):
     """(1/n) * sum of outer products of n standard-normal rows of this width,
     read-only and shared by every call with the same (n, width, seed).
 
-    Block b comes from the stream (seed, b).  With threads > 1 the blocks are
-    drawn in parallel and their partial sums merged in block order, so the
-    result does not depend on the thread count.
+    Block b comes from the stream (seed, b) in pieces of at most DRAW_ROWS rows.
+    Each piece's product is added in piece order, also when threads > 1 draw
+    the blocks in parallel, so the result does not depend on the thread count.
     """
     key = n, width, seed
     with _MOMENT_LOCK:
@@ -187,19 +187,19 @@ def _second_moment(n, width, seed, threads=1):
 def _draw_moment(n, width, seed, threads):
     total = np.zeros((width, width))
     if threads <= 1:
-        for _, block in normal_blocks(n, width, seed):
-            total += block.T @ block
+        for _, rows in normal_blocks(n, width, seed):
+            total += rows.T @ rows
         return total / n
     from concurrent.futures import ThreadPoolExecutor
 
-    def partial(b):
-        rows = min(SAMPLE_BLOCK, n - b * SAMPLE_BLOCK)
-        block = block_generator(seed, b).standard_normal((rows, width))
-        return block.T @ block
+    def pieces(b):  # the products of block b's pieces
+        end = min(n, (b + 1) * SAMPLE_BLOCK)
+        return [rows.T @ rows for _, rows in normal_blocks(end, width, seed, first=b)]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(partial, range(-(-n // SAMPLE_BLOCK))):
-            total += part
+        for products in pool.map(pieces, range(-(-n // SAMPLE_BLOCK))):
+            for product in products:
+                total += product
     return total / n
 
 

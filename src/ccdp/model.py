@@ -8,7 +8,10 @@ state covariance is the equicorrelation matrix (1-rho)*I + rho*ones.
 Sampling is counter-based: block b of a run with seed s is drawn from an
 independent Philox stream keyed (s, b), with a fixed block length of
 ``SAMPLE_BLOCK`` rows.  Results are therefore bit-reproducible and blocks can
-be generated in any order (or in parallel) without changing the output.
+be generated in any order (or in parallel) without changing the output.  Each
+block is drawn in pieces of at most ``DRAW_ROWS`` rows, its stream continuing
+from piece to piece, so a piece stays cache-sized and the rows drawn are those
+of the whole block.
 """
 
 from dataclasses import dataclass
@@ -22,13 +25,15 @@ from .errors import InfeasibleRho, InvalidGain, InvalidM, InvalidPower
 FEASIBILITY_TOL = 1e-12
 
 SAMPLE_BLOCK = 1 << 16  # rows per counter block
+DRAW_ROWS = SAMPLE_BLOCK >> 3  # rows per drawn piece of a block
 
 # Ceilings of ChannelParams on M, P and c: up to them M - 1.0 is exact and every
 # intermediate term of every bound, such as M*(P+1) and 1+P+c2+2c*sqrt(P), is finite.
 _MAX_M, _MAX_P, _MAX_C = 2 ** 53, 1e280, 1e140
 
 # Most latents of a state decomposition: M(M-1)/2 + M at M = 16, so any M <= 16
-# is admitted for any rho.  A scheme's sample block is then about 77 MiB.
+# is admitted for any rho.  A scheme's widest piece of draws (154 columns) is
+# then DRAW_ROWS x 154 doubles, about 9.6 MiB.
 _MAX_LATENTS = 136
 
 _U64 = (1 << 64) - 1
@@ -244,18 +249,17 @@ def block_generator(seed, block):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def normal_blocks(n, width, seed, block_rows=SAMPLE_BLOCK):
-    """Yield (row_offset, block) of standard-normal draws covering n rows.
+def normal_blocks(n, width, seed, first=0):
+    """Yield (row_offset, rows) of standard-normal draws from block ``first``
+    up to row n, in pieces of at most DRAW_ROWS rows.
 
-    Block b is drawn from the independent stream (seed, b), so the sequence
-    of blocks is fixed by (n, width, seed) alone.
+    Block b is drawn from the independent stream (seed, b), continued from
+    piece to piece, so the rows are fixed by (n, width, seed) alone.
     """
-    row, b = 0, 0
-    while row < n:
-        rows = min(block_rows, n - row)
-        yield row, block_generator(seed, b).standard_normal((rows, width))
-        row += rows
-        b += 1
+    for b in range(first, -(-n // SAMPLE_BLOCK)):
+        stream, end = block_generator(seed, b), min(n, (b + 1) * SAMPLE_BLOCK)
+        for row in range(b * SAMPLE_BLOCK, end, DRAW_ROWS):
+            yield row, stream.standard_normal((min(DRAW_ROWS, end - row), width))
 
 
 def sample_states(decomp, n, seed):
@@ -268,6 +272,6 @@ def sample_states(decomp, n, seed):
         raise ValueError(f"need n >= 1, got {n}")
     W, _ = decomp.mixing_matrix()
     out = np.empty((n, decomp.M))
-    for row, block in normal_blocks(n, W.shape[1], seed):
-        out[row:row + block.shape[0]] = block @ W.T
+    for row, rows in normal_blocks(n, W.shape[1], seed):
+        out[row:row + rows.shape[0]] = rows @ W.T
     return out

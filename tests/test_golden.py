@@ -63,25 +63,27 @@ def test_standard_command_output_is_golden(tmp_path, case):
 # simulate case: (arguments, sha256 of json.dumps(results, sort_keys=True));
 # the results hold no path, and every case runs at the default seed 0.  Only
 # the live basis columns are drawn, so a case with a zero-weight column (a
-# layer without power, a latent of weight 0) draws a narrower moment.
+# layer without power, a latent of weight 0) draws a narrower moment.  The
+# moment is summed piece by piece (model.DRAW_ROWS rows), so the order of its
+# floating-point sums is part of each digest.
 P10 = ("--P", "10", "--c2", "4")
 GOLDEN_SIMULATE = {
     "san": (("--target", "san", "--M", "2", *P10, "--alpha-bar", "0"),
-            "1aacb0feffd562d7782edc09318bc3346a9f1577ae290170c233aeb5708b9636"),
+            "dc9707450476c1c50a3b145597727b8af3742bd1cbcdcb2c851a824e2ac213c5"),
     "gp": (("--target", "gp", "--M", "2", *P10, "--alpha-bar", "0.3"),
-           "105f01ddb4a73551801ed4852c70abe58bc551b97e84a0ba4ef55740080aee31"),
+           "eee59a79c936d4ab4dc6413474dfe1776ca8075a17197f530089508756738da4"),
     "gp-lam": (("--target", "gp", "--M", "3", *P10, "--rho", "-0.3", "--alpha-bar", "0.3",
                 "--lam", "0.5"),
-               "d7b381c32932b487076956db6b2b057a37f15547f082d297428451d090b3f7c2"),
+               "90c1c2d55654db810f4eedc6b0143c9ca6a6dfbd825e0d80a885ff84a9c647ce"),
     "scheme": (("--target", "scheme", "--M", "2", *P10, "--alpha-bar", "0.3"),
-               "b989296a84957739332e19d027a775c4a91aa82c546e916c15329bb7f87f67d1"),
+               "6bb878bf59901d82fa3b1e7ea7798a6b67a2200d671cb11e2e61ec25941aa0ef"),
     "scheme-rho": (("--target", "scheme", "--M", "3", *P10, "--rho", "0.64",
                     "--alpha-bar", "0"),
-                   "557c0193ffc4fbf0b0220d0f8f53465f0dc002ef9d09cb741e34030c245cd57e"),
+                   "ed6bb11d2d47f348a908d25fae5726564cda650324283016f69f8243064cd2fc"),
     # decomposition reads no alpha-bar, so its results hold no alpha_bar
     "decomposition": (("--target", "decomposition", "--M", "4", "--P", "1", "--c2", "1",
                        "--rho", repr(-1 / 3)),
-                      "a739c543279fa4ae57f70bf521578b1a3268a2cefc3a57d0aea9cfdd43ddd396"),
+                      "5175e4058a17cb2e1ba8db26dbacad6deb89a814218d372e6849d8e29ef3e2d7"),
 }
 
 

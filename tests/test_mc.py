@@ -26,6 +26,7 @@ from ccdp import (
 )
 from ccdp import cli, mc
 from ccdp.mc import SchemeSystem, delta_stderr, mi_gradient
+from ccdp.model import DRAW_ROWS, SAMPLE_BLOCK, block_generator
 
 
 def config(M=2, P=10.0, c2=4.0, rho=0.0, ab=0.0, n=200_000, seed=3):
@@ -226,6 +227,32 @@ def test_threads_do_not_change_estimate():
     assert runs[0] == runs[1]
 
 
+def test_draw_moment_is_bit_equal_over_thread_counts():
+    # a partial last block with a partial last piece; the pieces' products are
+    # added in the same order at any thread count, and the moment agrees with
+    # one summed block by block to the round-off of reordered sums
+    n = 2 * SAMPLE_BLOCK + 5_003
+    moments = [mc._draw_moment(n, 5, 17, threads) for threads in (1, 2, 3)]
+    assert all(np.array_equal(moments[0], m) for m in moments[1:])
+    blocks = [block_generator(17, b).standard_normal((rows, 5))
+              for b, rows in enumerate((SAMPLE_BLOCK, SAMPLE_BLOCK, n - 2 * SAMPLE_BLOCK))]
+    by_block = sum(block.T @ block for block in blocks) / n
+    assert np.max(np.abs(moments[0] - by_block)) <= 1e3 * np.finfo(float).eps
+
+
+def test_draw_moment_holds_only_a_few_pieces():
+    # numpy reports its data buffers to tracemalloc; a whole 154-column block
+    # would be 80.7 MB, and two were alive at once when blocks were drawn whole
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        mc._draw_moment(2 * SAMPLE_BLOCK, 154, 7, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * DRAW_ROWS * 154 * 8
+
+
 @pytest.mark.parametrize("M, rho, ab", [(3, 0.0, 0.5), (4, 0.0, 0.5), (8, 0.0, 0.5),
                                         (3, 0.64, 0.0)])
 def test_scheme_z_score_is_calibrated_over_seeds(M, rho, ab):
@@ -241,9 +268,9 @@ def test_second_moments_are_shared_read_only_and_bounded(monkeypatch):
     draws = []
     blocks = mc.normal_blocks
 
-    def counted(n, width, seed):
+    def counted(n, width, seed, **start):  # a threaded draw starts each block by keyword
         draws.append((n, width, seed))
-        return blocks(n, width, seed)
+        return blocks(n, width, seed, **start)
 
     monkeypatch.setattr(mc, "normal_blocks", counted)
     mc._MOMENTS.clear()

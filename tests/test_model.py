@@ -33,10 +33,13 @@ from ccdp import (
 )
 from ccdp.model import (
     _MAX_LATENTS,
+    DRAW_ROWS,
     FEASIBILITY_TOL,
     NEGATIVE_PAIRWISE,
     POSITIVE_COMMON,
+    SAMPLE_BLOCK,
     TWO_USER_COMMON,
+    block_generator,
     normal_blocks,
 )
 
@@ -476,6 +479,21 @@ def test_blocks_are_independent_streams():
     blocks_b = [blk.copy() for _, blk in normal_blocks(100_000, 3, seed=5)]
     for x, y in zip(blocks_a, blocks_b):
         assert np.array_equal(x, y)
+
+
+def test_pieces_are_the_rows_of_whole_blocks():
+    # each block's stream continues from piece to piece: the pieces are the
+    # rows of whole blocks drawn at once, and so are the states drawn from them
+    n, seed = 2 * SAMPLE_BLOCK + 5_003, 23
+    d = decompose_states(ChannelParams(4, 1.0, 1.0, -0.2))
+    W, _ = d.mixing_matrix()
+    blocks = [block_generator(seed, b).standard_normal((rows, W.shape[1]))
+              for b, rows in enumerate((SAMPLE_BLOCK, SAMPLE_BLOCK, n - 2 * SAMPLE_BLOCK))]
+    pieces = list(normal_blocks(n, W.shape[1], seed))
+    assert [row for row, _ in pieces] == list(range(0, n, DRAW_ROWS))
+    assert pieces[-1][1].shape == (n % DRAW_ROWS, W.shape[1])
+    assert np.array_equal(np.vstack([rows for _, rows in pieces]), np.vstack(blocks))
+    assert np.array_equal(sample_states(d, n, seed), np.vstack([b @ W.T for b in blocks]))
 
 
 @pytest.mark.parametrize("M,rho", [(2, 0.5), (4, -1.0 / 3.0)])
