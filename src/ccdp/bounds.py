@@ -28,7 +28,7 @@ from math import inf, log2, nan, sqrt
 
 import numpy as np
 
-from .errors import DomainError, InvalidSplit, WrongModel
+from .errors import CcdpError, DomainError, InvalidSplit, WrongModel
 from .model import ChannelParams
 
 # Variant tokens (fixed API strings, also accepted by the CLI).
@@ -85,14 +85,14 @@ BRANCHES = (BR_LOW_2, BR_MIDDLE, BR_HIGH_2, BR_LOW_M, BR_HIGH_M,
 
 
 class _Table(dict):
-    """A dict whose missing key raises ValueError naming the valid keys."""
+    """A dict whose missing key raises CcdpError naming the valid keys."""
 
     def __init__(self, kind, entries):
         super().__init__(entries)
         self.kind = kind
 
     def __missing__(self, key):
-        raise ValueError(f"unknown {self.kind} {key!r}, expected one of {tuple(self)}")
+        raise CcdpError(f"unknown {self.kind} {key!r}, expected one of {tuple(self)}")
 
 
 def _applies(bound, M, rho):

@@ -14,7 +14,6 @@ claimed gap, 2 on invalid input, 3 on an internal error.
 import contextlib
 import hashlib
 import json
-import os
 import sys
 from collections import namedtuple
 from dataclasses import asdict
@@ -31,6 +30,24 @@ Opt = namedtuple("Opt", "type default help")  # type converts flag and file text
 
 def int_list(text):
     return tuple(int(t) for t in text.split(",") if t.strip())
+
+
+def float_list(text):
+    return tuple(float(t) for t in text.split(",") if t.strip())
+
+
+def count(text):
+    """A whole number of at least 1: a thread or point count."""
+    if int(text) < 1:
+        raise ValueError(f"must be >= 1, got {text}")
+    return int(text)
+
+
+def rho_values(text):
+    """'feasible' or a comma list of floats, checked and kept as given."""
+    if text != "feasible":
+        float_list(text)
+    return text
 
 
 def _format_opt(*formats):
@@ -52,12 +69,12 @@ _GRID_OPTS = {
     "M-values": Opt(int_list, (2, 3, 4, 5, 6, 7, 8), "comma list of receiver counts"),
     "P-min": Opt(float, 3.01, "power grid lower end"),
     "P-max": Opt(float, 1e4, "power grid upper end"),
-    "P-points": Opt(int, 50, "log-spaced power grid points"),
+    "P-points": Opt(count, 50, "log-spaced power grid points"),
     "c2-min": Opt(float, 3.01, "squared-gain grid lower end"),
     "c2-max": Opt(float, 1e6, "squared-gain grid upper end"),
-    "c2-points": Opt(int, 50, "log-spaced squared-gain grid points"),
-    "rho-values": Opt(str, "feasible", "'feasible' or comma list of correlations"),
-    "rho-points": Opt(int, 13, "feasible correlations per M when rho-values=feasible"),
+    "c2-points": Opt(count, 50, "log-spaced squared-gain grid points"),
+    "rho-values": Opt(rho_values, "feasible", "'feasible' or comma list of correlations"),
+    "rho-points": Opt(count, 13, "feasible correlations per M when rho-values=feasible"),
 }
 
 _POINT_OPTS = {
@@ -86,7 +103,7 @@ OPTION_TABLES = {
     "fig3": {"P": Opt(float, 10.0, "transmit power"),
              "c-min": Opt(float, 0.1, "gain range lower end"),
              "c-max": Opt(float, 10.0, "gain range upper end"),
-             "points": Opt(int, 200, "number of gain points"),
+             "points": Opt(count, 200, "number of gain points"),
              **_COMMON_OPTS,
              "format": _format_opt("csv", "json")},
     "simulate": {**_POINT_OPTS, **_COMMON_OPTS,
@@ -96,8 +113,7 @@ OPTION_TABLES = {
                  "samples": Opt(int, 1_000_000, "Monte Carlo sample count"),
                  "seed": Opt(int, 0, "stream seed"),
                  "lam": Opt(float, None, "inflation factor override (gp only)"),
-                 "threads": Opt(int, None, "Monte Carlo worker threads "
-                                           "(default: CCDP_THREADS or 1)"),
+                 "threads": Opt(count, 1, "Monte Carlo worker threads"),
                  "format": _format_opt("json")},
     "audit": {**_GRID_OPTS, **_COMMON_OPTS,
               "families": Opt(str, "optimized",
@@ -114,8 +130,6 @@ _TARGET_OPTS = {"lam": ("gp",), "alpha-bar": ("san", "gp", "scheme")}
 
 
 def _format_value(value):
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
@@ -157,16 +171,6 @@ def resolve_config(command, flag_values, file_values):
         if resolved.get(name) is not None and resolved["target"] not in targets:
             raise CcdpError(f"--{name} applies to --target {', '.join(targets)} "
                             f"only, not {resolved['target']}")
-    if "threads" in table:
-        if resolved["threads"] is None:
-            env = os.environ.get("CCDP_THREADS", "1")
-            try:
-                resolved["threads"] = int(env)
-            except ValueError:
-                raise CcdpError(
-                    f"CCDP_THREADS must be an integer, got {env!r}") from None
-        if resolved["threads"] < 1:
-            raise CcdpError(f"threads must be >= 1, got {resolved['threads']}")
     return resolved
 
 
@@ -178,9 +182,10 @@ def dump_config_text(command, resolved):
 
 
 def config_hash(command, resolved):
-    # Sink paths do not affect the numbers; keep the hash invariant to them
-    # so identical computations are recognizable across output locations.
-    material = {k: v for k, v in resolved.items() if k not in ("out", "rows-out")}
+    # Sink paths and the thread count do not affect the numbers; keep the hash
+    # invariant to them so identical computations are recognizable.
+    material = {k: v for k, v in resolved.items()
+                if k not in ("out", "rows-out", "threads")}
     return hashlib.sha256(
         dump_config_text(command, material).encode()).hexdigest()[:16]
 
@@ -233,20 +238,15 @@ def _write_csv(report, meta, out):
             _write(piece, fh)
 
 
-def _meta(command, resolved, with_seed=False):
-    meta = {"tool_version": __version__,
-            "config_hash": config_hash(command, resolved)}
-    if with_seed:
-        meta["seed"] = resolved.get("seed", 0)
-    return meta
+def _meta(command, resolved):
+    return {"tool_version": __version__, "config_hash": config_hash(command, resolved)}
 
 
-def _envelope(command, resolved, results, max_gap=None, certified=None,
-              warnings=(), with_seed=False):
+def _envelope(command, resolved, results, max_gap=None, certified=None, warnings=()):
     cfg = {"command": command}
     cfg.update({k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in sorted(resolved.items())})
-    cfg.update(_meta(command, resolved, with_seed))
+    cfg.update(_meta(command, resolved))
     return json.dumps(
         {"config": cfg, "results": results, "maxGap": max_gap,
          "certified": certified, "warnings": list(warnings)},
@@ -261,7 +261,7 @@ def _params_from(opts, gain=None):
         if gain is None:
             raise CcdpError("one of --c2 or --c is required")
         c = gain
-    if c2 is not None and c is not None and abs(c * c - c2) > 1e-9:
+    if c2 is not None and c is not None and abs(c * c - c2) > 1e-9 * max(1.0, abs(c2)):
         raise CcdpError(f"--c2 ({c2}) and --c ({c}) disagree")
     if c is None:
         c = sqrt(c2) if c2 >= 0 else c2
@@ -274,35 +274,26 @@ def _log_axis(opts, name, axis):
     lo, hi = (gaps.AXIS_CHECKS[axis](opts[f"{name}-{end}"]) for end in ("min", "max"))
     if not (lo > 0.0 and hi > 0.0):
         raise CcdpError(f"--{name}-min and --{name}-max must be > 0 on a log axis")
-    values = np.logspace(log10(lo), log10(hi), _count(opts, f"{name}-points"))
+    values = np.logspace(log10(lo), log10(hi), opts[f"{name}-points"])
     # The ends as given, not 10**log10(end); a single point is lo.
     values[-1], values[0] = hi, lo
     return tuple(values)
 
 
-def _count(opts, name):
-    if opts[name] < 1:
-        raise CcdpError(f"{name} must be >= 1, got {opts[name]}")
-    return opts[name]
-
-
 def _grid_from(opts):
     rho_text = opts["rho-values"]
-    rho_values = None if rho_text == "feasible" else tuple(
-        float(t) for t in rho_text.split(",") if t.strip())
     return gaps.SweepGrid(
         m_values=opts["M-values"],
         p_values=_log_axis(opts, "P", "p_values"),
         c2_values=_log_axis(opts, "c2", "c2_values"),
-        rho_values=rho_values,
+        rho_values=None if rho_text == "feasible" else float_list(rho_text),
         rho_points=opts["rho-points"],
         outer_variant=opts.get("outer-variant", bounds.APPENDIX_FORM),
     )
 
 
 def _estimate_dict(est):
-    return {"value": est.value, "stderr": est.stderr, "samples": est.samples,
-            "closed_form": est.closed_form, "z_score": est.z_score}
+    return {**asdict(est), "z_score": est.z_score}
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +376,7 @@ def cmd_certify(resolved):
 
 
 def cmd_fig3(resolved):
-    c_values = np.linspace(resolved["c-min"], resolved["c-max"],
-                           _count(resolved, "points"))
+    c_values = np.linspace(resolved["c-min"], resolved["c-max"], resolved["points"])
     rows = gaps.fig3_curve(resolved["P"], c_values)
     if resolved["format"] == "json":
         results = [{"c": c, "raw_outer": r, "optimized_outer": o}
@@ -437,8 +427,7 @@ def cmd_simulate(resolved):
                     for san, gp in report.per_receiver],
             }
         results["alpha_bar"] = ab
-    _write(_envelope("simulate", resolved, results, with_seed=True),
-           resolved["out"])
+    _write(_envelope("simulate", resolved, results), resolved["out"])
     print(f"simulate {target}: samples={resolved['samples']} "
           f"seed={resolved['seed']}", file=sys.stderr)
     return 0

@@ -676,30 +676,29 @@ SIMULATE = ("simulate", "--target", "san", "--samples", "1000",
             "--M", "2", "--c2", "4")
 
 
-def test_threads_env_default(capsys, tmp_path, monkeypatch):
+def test_threads_default_to_one_and_ignore_the_environment(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CCDP_THREADS", "3")
     cfg = tmp_path / "t.cfg"
     code, _, _ = run(capsys, *SIMULATE, "--dump-config", str(cfg))
-    assert code == 0
-    assert "threads = 3" in cfg.read_text()
-    # explicit flag still wins
+    assert code == 0 and "\nthreads = 1\n" in cfg.read_text()
     code, _, _ = run(capsys, *SIMULATE, "--threads", "2", "--dump-config", str(cfg))
-    assert "threads = 2" in cfg.read_text()
+    assert code == 0 and "\nthreads = 2\n" in cfg.read_text()
 
 
-def test_threads_env_not_integer(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("CCDP_THREADS", "abc")
-    code, _, err = run(capsys, *SIMULATE)
-    assert code == 2 and err.startswith("CcdpError: ") and "CCDP_THREADS" in err
-    # commands without a thread count do not read the variable
-    cfg = tmp_path / "s.cfg"
-    code, _, _ = run(capsys, "sweep", "--M-values", "2", *GRID,
-                     "--out", str(tmp_path / "s.csv"), "--dump-config", str(cfg))
-    assert code == 0 and "\nthreads = " not in cfg.read_text()
+def test_thread_count_changes_neither_results_nor_config_hash(capsys):
+    docs = []
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, "simulate", "--target", "scheme", "--M", "3",
+                           "--c2", "4", "--rho", "0.64", "--alpha-bar", "0",
+                           "--samples", "140000", "--seed", "7", "--threads", threads)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert [d["config"]["threads"] for d in docs] == [1, 2]
+    assert docs[0]["results"] == docs[1]["results"]
+    assert docs[0]["config"]["config_hash"] == docs[1]["config"]["config_hash"]
 
 
-@pytest.mark.parametrize("how", ["flag", "env"])
-def test_simulate_decomposition_draws_with_the_thread_count(capsys, monkeypatch, how):
+def test_simulate_decomposition_draws_with_the_thread_count(capsys, monkeypatch):
     from ccdp import mc
     seen, draw = [], mc._draw_moment
     monkeypatch.setattr(mc, "_draw_moment",
@@ -707,10 +706,9 @@ def test_simulate_decomposition_draws_with_the_thread_count(capsys, monkeypatch,
     outs = []
     for threads in ("1", "2"):
         mc._MOMENTS.clear()  # each thread count draws its own samples
-        flags = ("--threads", threads) if how == "flag" else ()
-        monkeypatch.setenv("CCDP_THREADS", threads if how == "env" else "1")
         code, out, _ = run(capsys, "simulate", "--target", "decomposition", "--M", "3",
-                           "--rho", "0.5", "--c2", "1", "--samples", "70000", *flags)
+                           "--rho", "0.5", "--c2", "1", "--samples", "70000",
+                           "--threads", threads)
         assert code == 0
         outs.append(json.loads(out)["results"])
     mc._MOMENTS.clear()
@@ -800,7 +798,37 @@ def test_thread_count_below_one_rejected(capsys, threads):
     assert code == 2 and "threads" in err
 
 
-def test_thread_count_env_zero_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("CCDP_THREADS", "0")
-    code, _, err = run(capsys, *SIMULATE)
-    assert code == 2 and "threads" in err
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--P-points", "0"),
+    ("audit", "--c2-points", "0"),
+    ("sweep", "--rho-points", "0"),
+    ("fig3", "--points", "0"),
+    ("simulate", "--c2", "4", "--threads", "0"),
+    ("sweep", "--rho-values", "abc"),
+    ("certify", "--theorem", "Th3", "--rho-values", "0,x"),
+])
+def test_a_rejected_option_fails_before_the_config_is_dumped(capsys, tmp_path, argv):
+    dump = tmp_path / "run.cfg"
+    code, out, err = run(capsys, *argv, "--dump-config", str(dump))
+    name = argv[-2][2:]
+    assert code == 2 and not out and err.startswith(f"CcdpError: {name}: ")
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--theorem", "Th7"),
+    ("certify", "--theorem", "Th3", "--variant", "bogus"),
+    ("sweep", "--outer-variant", "bogus"),
+])
+def test_an_unknown_table_key_is_a_ccdp_error(capsys, argv):
+    code, out, err = run(capsys, *argv, *GRID)
+    assert code == 2 and not out
+    assert err.startswith("CcdpError: unknown ") and repr(argv[-1]) in err
+
+
+def test_gain_flags_agree_to_a_relative_tolerance(capsys):
+    point = ("bounds", "--M", "2", "--P", "10")
+    both = run(capsys, *point, "--c", "1e60", "--c2", "1e120")
+    assert both[0] == 0 and both == run(capsys, *point, "--c2", "1e120")
+    code, _, err = run(capsys, *point, "--c", "2", "--c2", "9")
+    assert code == 2 and "disagree" in err
