@@ -25,7 +25,8 @@ from . import __version__, bounds, gaps, mc
 from .errors import CcdpError
 from .model import ChannelParams, decompose_states
 
-Opt = namedtuple("Opt", "type default help")  # type converts flag and file text
+# type converts flag and file text; a required option has no default
+Opt = namedtuple("Opt", "type default help required", defaults=(False,))
 
 
 def int_list(text):
@@ -50,14 +51,30 @@ def rho_values(text):
     return text
 
 
-def _format_opt(*formats):
-    """The format option: the first format is the default, and no value
-    outside the list is accepted."""
+def audit_families(text):
+    """The families a --families text names: 'optimized', 'all' or a comma list."""
+    names = {"optimized": gaps.OPTIMIZED_FAMILIES, "all": tuple(gaps.AUDIT_FAMILIES)}.get(
+        text, tuple(t.strip() for t in text.split(",") if t.strip()))
+    unknown = set(names) - set(gaps.AUDIT_FAMILIES)
+    if unknown:
+        raise ValueError(f"unknown audit families {sorted(unknown)}; "
+                         f"valid: {sorted(gaps.AUDIT_FAMILIES)}")
+    return names
+
+
+def families(text):
+    """A --families text, checked by audit_families and kept as given."""
+    audit_families(text)
+    return text
+
+
+def _choice(*choices, required=False):
+    """One of the choices, the first by default unless required; nothing else."""
     def convert(text):
-        if text not in formats:
-            raise ValueError(f"must be one of {formats}, got {text!r}")
+        if text not in choices:
+            raise ValueError(f"must be one of {choices}, got {text!r}")
         return text
-    return Opt(convert, formats[0], ", ".join(formats))
+    return Opt(convert, None if required else choices[0], ", ".join(choices), required)
 
 
 COMMANDS = ("bounds", "sweep", "certify", "fig3", "simulate", "audit")
@@ -89,36 +106,36 @@ _COMMON_OPTS = {"out": Opt(str, "-", "output path, '-' for stdout")}
 
 OPTION_TABLES = {
     "bounds": {**_POINT_OPTS, **_COMMON_OPTS,
-               "format": _format_opt("text", "csv", "json")},
+               "format": _choice("text", "csv", "json")},
     "sweep": {**_GRID_OPTS, **_COMMON_OPTS,
               "outer-variant": Opt(str, bounds.APPENDIX_FORM,
                                    "outer bound variant for the sweep"),
-              "format": _format_opt("csv", "json")},
+              "format": _choice("csv", "json")},
     "certify": {**_GRID_OPTS, **_COMMON_OPTS,
-                "theorem": Opt(str, None, "one of Th3, Th4, Th5, Th6"),
+                "theorem": _choice(*gaps.THEOREMS, required=True),
                 "variant": Opt(str, "appendix",
                                "appendix or theorem-statement outer"),
                 "rows-out": Opt(str, None, "optional CSV path for the grid rows"),
-                "format": _format_opt("json", "csv")},
+                "format": _choice("json", "csv")},
     "fig3": {"P": Opt(float, 10.0, "transmit power"),
              "c-min": Opt(float, 0.1, "gain range lower end"),
              "c-max": Opt(float, 10.0, "gain range upper end"),
              "points": Opt(count, 200, "number of gain points"),
              **_COMMON_OPTS,
-             "format": _format_opt("csv", "json")},
+             "format": _choice("csv", "json")},
     "simulate": {**_POINT_OPTS, **_COMMON_OPTS,
-                 "target": _format_opt("san", "gp", "scheme", "decomposition"),
+                 "target": _choice("san", "gp", "scheme", "decomposition"),
                  "alpha-bar": Opt(float, None,
                                   "pre-coded power fraction (default: optimal)"),
                  "samples": Opt(int, 1_000_000, "Monte Carlo sample count"),
                  "seed": Opt(int, 0, "stream seed"),
                  "lam": Opt(float, None, "inflation factor override (gp only)"),
                  "threads": Opt(count, 1, "Monte Carlo worker threads"),
-                 "format": _format_opt("json")},
+                 "format": _choice("json")},
     "audit": {**_GRID_OPTS, **_COMMON_OPTS,
-              "families": Opt(str, "optimized",
+              "families": Opt(families, "optimized",
                               "'optimized', 'all' or comma list of families"),
-              "format": _format_opt("csv", "json")},
+              "format": _choice("csv", "json")},
 }
 
 # Read by main itself, never resolved, dumped or hashed.
@@ -130,9 +147,7 @@ _TARGET_OPTS = {"lam": ("gp",), "alpha-bar": ("san", "gp", "scheme")}
 
 
 def _format_value(value):
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
+    return ",".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
 
 
 def read_config_file(path):
@@ -163,6 +178,8 @@ def resolve_config(command, flag_values, file_values):
     resolved = {}
     for name, opt in table.items():
         text = flag_values.get(name, file_values.get(name))
+        if text is None and opt.required:
+            raise CcdpError(f"--{name} is required (one of {opt.help})")
         try:
             resolved[name] = opt.default if text is None else opt.type(text)
         except ValueError as exc:
@@ -322,12 +339,10 @@ def cmd_bounds(resolved):
     elif resolved["format"] == "csv":
         _write_csv(appendix, _meta("bounds", resolved), resolved["out"])
     else:
-        _write(
-            f"inner {row.inner:.6f}\n"
-            f"outer(appendix) {row.outer:.6f}\n"
-            f"outer(theorem) {theorem.outer:.6f}\n"
-            f"gap {row.gap:.6f}\n",
-            resolved["out"])
+        _write(f"inner {row.inner:.6f}\n"
+               f"outer(appendix) {row.outer:.6f}\n"
+               f"outer(theorem) {theorem.outer:.6f}\n"
+               f"gap {row.gap:.6f}\n", resolved["out"])
     print(f"bounds: M={params.M} P={params.P} c2={params.c2} rho={params.rho} "
           f"gap={row.gap:.6f}", file=sys.stderr)
     return 0
@@ -349,10 +364,7 @@ def cmd_sweep(resolved):
 
 
 def cmd_certify(resolved):
-    theorem = resolved["theorem"]
-    if theorem is None:
-        raise CcdpError("--theorem is required (one of Th3, Th4, Th5, Th6)")
-    variant = resolved["variant"]
+    theorem, variant = resolved["theorem"], resolved["variant"]
     # An axis set away from its default is certified as given, so one
     # outside the theorem's model is a WrongModel, not silently replaced.
     keep = [axis for name, axis in (("M-values", "m_values"),
@@ -370,8 +382,7 @@ def cmd_certify(resolved):
                          certified=report.certified, warnings=report.warnings),
                resolved["out"])
     print(f"certify {theorem} ({variant}): maxGap={report.max_gap:.6f} "
-          f"certified={'true' if report.certified else 'false'}",
-          file=sys.stderr)
+          f"certified={'true' if report.certified else 'false'}", file=sys.stderr)
     return 0 if report.certified else 1
 
 
@@ -379,8 +390,7 @@ def cmd_fig3(resolved):
     c_values = np.linspace(resolved["c-min"], resolved["c-max"], resolved["points"])
     rows = gaps.fig3_curve(resolved["P"], c_values)
     if resolved["format"] == "json":
-        results = [{"c": c, "raw_outer": r, "optimized_outer": o}
-                   for c, r, o in rows]
+        results = [{"c": c, "raw_outer": r, "optimized_outer": o} for c, r, o in rows]
         _write(_envelope("fig3", resolved, results), resolved["out"])
     else:
         lines = [f"# {k}: {v}" for k, v in _meta("fig3", resolved).items()]
@@ -399,8 +409,7 @@ def cmd_simulate(resolved):
         err = mc.verify_decomposition_stats(decomp, resolved["samples"],
                                             resolved["seed"], threads)
         results = {"kind": decomp.kind,
-                   "coefficients": {k: float(v)
-                                    for k, v in decomp.coefficients.items()},
+                   "coefficients": {k: float(v) for k, v in decomp.coefficients.items()},
                    "max_abs_covariance_error": err}
     else:
         ab = resolved["alpha-bar"]
@@ -435,18 +444,8 @@ def cmd_simulate(resolved):
 
 def cmd_audit(resolved):
     grid = _grid_from(resolved)
-    fam_text = resolved["families"]
-    if fam_text == "optimized":
-        families = gaps.OPTIMIZED_FAMILIES
-    elif fam_text == "all":
-        families = tuple(gaps.AUDIT_FAMILIES)
-    else:
-        families = tuple(t.strip() for t in fam_text.split(",") if t.strip())
-        unknown = set(families) - set(gaps.AUDIT_FAMILIES)
-        if unknown:
-            raise CcdpError(f"unknown audit families {sorted(unknown)}; "
-                            f"valid: {sorted(gaps.AUDIT_FAMILIES)}")
-    violations = gaps.monotonicity_audit(grid, families)
+    names = audit_families(resolved["families"])
+    violations = gaps.monotonicity_audit(grid, names)
     if resolved["format"] == "json":
         results = [asdict(v) for v in violations]
         _write(_envelope("audit", resolved, results), resolved["out"])
@@ -456,7 +455,7 @@ def cmd_audit(resolved):
         lines += [f"{v.family},{v.M},{v.P!r},{v.rho!r},{v.c_low!r},"
                   f"{v.c_high!r},{v.increase!r}" for v in violations]
         _write("\n".join(lines) + "\n", resolved["out"])
-    print(f"audit: {len(violations)} violations over {len(families)} families",
+    print(f"audit: {len(violations)} violations over {len(names)} families",
           file=sys.stderr)
     return 0
 

@@ -12,7 +12,7 @@ variance of such a sum from n zero-mean samples, (2/n) * tr(G Sigma G Sigma)
 for its gradient G (nats), is (2/n) * sum_{k,j} w_k w_j ||Q_k^T Q_j||_F^2 over
 the blocks' orthonormal factors Q_k and weights w_k.
 
-Blocks use the counter-based streams of :mod:`ccdp.model`, drawn in
+Blocks use the spawned SFC64 streams of :mod:`ccdp.model`, drawn in
 cache-sized pieces, so estimates are reproducible for a fixed seed and can be
 accumulated by parallel workers without changing the result (each piece's
 product is added in piece order).

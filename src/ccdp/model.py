@@ -5,13 +5,14 @@ the input plus unit-variance Gaussian noise plus c times its own unit-variance
 Gaussian state.  The M states share a single pairwise correlation rho, so the
 state covariance is the equicorrelation matrix (1-rho)*I + rho*ones.
 
-Sampling is counter-based: block b of a run with seed s is drawn from an
-independent Philox stream keyed (s, b), with a fixed block length of
-``SAMPLE_BLOCK`` rows.  Results are therefore bit-reproducible and blocks can
-be generated in any order (or in parallel) without changing the output.  Each
-block is drawn in pieces of at most ``DRAW_ROWS`` rows, its stream continuing
-from piece to piece, so a piece stays cache-sized and the rows drawn are those
-of the whole block.
+Sampling is blocked: block b of a run with seed s is drawn from its own SFC64
+stream, seeded by child b of numpy's ``SeedSequence(s)`` spawn tree, with a
+fixed block length of ``SAMPLE_BLOCK`` rows.  The children's streams are
+independent, so results are bit-reproducible and blocks can be generated in
+any order (or in parallel) without changing the output.  Each block is drawn
+in pieces of at most ``DRAW_ROWS`` rows, its stream continuing from piece to
+piece, so a piece stays cache-sized and the rows drawn are those of the whole
+block.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .errors import InfeasibleRho, InvalidGain, InvalidM, InvalidPower
 # is accepted (singular covariance, residual latent weight exactly 0).
 FEASIBILITY_TOL = 1e-12
 
-SAMPLE_BLOCK = 1 << 16  # rows per counter block
+SAMPLE_BLOCK = 1 << 16  # rows per stream block
 DRAW_ROWS = SAMPLE_BLOCK >> 3  # rows per drawn piece of a block
 
 # Ceilings of ChannelParams on M, P and c: up to them M - 1.0 is exact and every
@@ -244,9 +245,15 @@ def decompose_states(params):
 
 
 def block_generator(seed, block):
-    """Philox generator for counter block ``block`` of the stream ``seed``."""
-    key = np.array([seed & _U64, block & _U64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 generator for block ``block`` of the stream ``seed``: child
+    ``block`` of ``SeedSequence(seed & _U64)``'s spawn tree.
+
+    The block is the spawn key, not a second entropy word: SeedSequence splits
+    each entropy integer into 32-bit words and zero-pads the pool, so entropy
+    [seed, block] would give (5, 3) and (3 * 2**32 + 5, 0) one stream.
+    """
+    sequence = np.random.SeedSequence(seed & _U64, spawn_key=(block,))
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 def normal_blocks(n, width, seed, first=0):

@@ -806,6 +806,8 @@ def test_thread_count_below_one_rejected(capsys, threads):
     ("simulate", "--c2", "4", "--threads", "0"),
     ("sweep", "--rho-values", "abc"),
     ("certify", "--theorem", "Th3", "--rho-values", "0,x"),
+    ("audit", "--families", "inner-2,bogus"),
+    ("certify", "--theorem", "Th7"),
 ])
 def test_a_rejected_option_fails_before_the_config_is_dumped(capsys, tmp_path, argv):
     dump = tmp_path / "run.cfg"
@@ -815,8 +817,15 @@ def test_a_rejected_option_fails_before_the_config_is_dumped(capsys, tmp_path, a
     assert not dump.exists()
 
 
+def test_a_missing_required_option_fails_before_the_config_is_dumped(capsys, tmp_path):
+    dump = tmp_path / "run.cfg"
+    code, out, err = run(capsys, "certify", *GRID, "--dump-config", str(dump))
+    assert (code, out) == (2, "")
+    assert err == "CcdpError: --theorem is required (one of Th3, Th4, Th5, Th6)\n"
+    assert not dump.exists()
+
+
 @pytest.mark.parametrize("argv", [
-    ("certify", "--theorem", "Th7"),
     ("certify", "--theorem", "Th3", "--variant", "bogus"),
     ("sweep", "--outer-variant", "bogus"),
 ])

@@ -9,8 +9,8 @@ The digests depend on the libm ``log2`` that ``math.log2`` calls, which every
 bound reads through: they were taken in the reference image (Debian 12,
 glibc 2.36, x86-64, Python 3.11.7, numpy 2.4.6).  A libm whose ``log2``
 rounds one input differently changes a digest without any change to ccdp.
-The ``simulate`` digests depend on numpy's Philox streams and its LAPACK QR
-and Cholesky as well.
+The ``simulate`` digests depend on numpy's SeedSequence spawn keys and SFC64
+streams and its LAPACK QR and Cholesky as well.
 """
 
 import hashlib
@@ -65,25 +65,26 @@ def test_standard_command_output_is_golden(tmp_path, case):
 # the live basis columns are drawn, so a case with a zero-weight column (a
 # layer without power, a latent of weight 0) draws a narrower moment.  The
 # moment is summed piece by piece (model.DRAW_ROWS rows), so the order of its
-# floating-point sums is part of each digest.
+# floating-point sums is part of each digest, and so is the generator: block b
+# of seed s is SFC64 fed by child b of SeedSequence(s)'s spawn tree.
 P10 = ("--P", "10", "--c2", "4")
 GOLDEN_SIMULATE = {
     "san": (("--target", "san", "--M", "2", *P10, "--alpha-bar", "0"),
-            "dc9707450476c1c50a3b145597727b8af3742bd1cbcdcb2c851a824e2ac213c5"),
+            "5dac9582109a59b8da1e628756544a2af4358880885feefb354d78bc26c2e977"),
     "gp": (("--target", "gp", "--M", "2", *P10, "--alpha-bar", "0.3"),
-           "eee59a79c936d4ab4dc6413474dfe1776ca8075a17197f530089508756738da4"),
+           "ed0b1a0383a86bd1ebecefbdc6eb63ebc2523045080c86ab5d05d3928559d6f5"),
     "gp-lam": (("--target", "gp", "--M", "3", *P10, "--rho", "-0.3", "--alpha-bar", "0.3",
                 "--lam", "0.5"),
-               "90c1c2d55654db810f4eedc6b0143c9ca6a6dfbd825e0d80a885ff84a9c647ce"),
+               "e6271c2c0f51c60a488c666ec7204da848b4618c66033479236bc54fa99c03c7"),
     "scheme": (("--target", "scheme", "--M", "2", *P10, "--alpha-bar", "0.3"),
-               "6bb878bf59901d82fa3b1e7ea7798a6b67a2200d671cb11e2e61ec25941aa0ef"),
+               "cc2a14e327011fcd9e21c91c40331b846377c60a9d79dc17789ba6825100a076"),
     "scheme-rho": (("--target", "scheme", "--M", "3", *P10, "--rho", "0.64",
                     "--alpha-bar", "0"),
-                   "ed6bb11d2d47f348a908d25fae5726564cda650324283016f69f8243064cd2fc"),
+                   "a83eabad703ff6c7e90dbc7a734b6cf869e3c9977e53151fe55127df9ee688a2"),
     # decomposition reads no alpha-bar, so its results hold no alpha_bar
     "decomposition": (("--target", "decomposition", "--M", "4", "--P", "1", "--c2", "1",
                        "--rho", repr(-1 / 3)),
-                      "5175e4058a17cb2e1ba8db26dbacad6deb89a814218d372e6849d8e29ef3e2d7"),
+                      "a24b3e13eb34bb09477c851e43b8a49faea8fb7c7362affb7f31efa91e552dab"),
 }
 
 

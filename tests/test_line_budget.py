@@ -10,7 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ccdp"
 BUDGET = 998
 
 # What cli.py holds now, as wc -l counts; like BUDGET, it only falls.
-CLI_BUDGET = 508
+CLI_BUDGET = 507
 
 # What mc.py holds now, as wc -l counts; like BUDGET, it only falls.
 MC_BUDGET = 505

@@ -481,6 +481,51 @@ def test_blocks_are_independent_streams():
         assert np.array_equal(x, y)
 
 
+# (seed, block) keys that one entropy list [seed, block] would confuse or
+# nearly confuse: the high word of a seed against a block, swapped words, and a
+# block's high word against no word.
+NEAR_KEYS = [((5, 3), ((3 << 32) | 5, 0)), ((0, 1), (1, 0)), ((7, 0), (7, 1 << 32))]
+
+
+@pytest.mark.parametrize("key, other", NEAR_KEYS)
+def test_stream_keys_do_not_collide(key, other):
+    assert not np.array_equal(block_generator(*key).standard_normal(8),
+                              block_generator(*other).standard_normal(8))
+
+
+def test_entropy_words_would_collide_where_spawn_keys_do_not():
+    # why the block is a spawn key: as entropy, 32-bit words zero-padded
+    (seed, block), (other_seed, other_block) = NEAR_KEYS[0]
+    state = [np.random.SeedSequence(entropy).generate_state(4)
+             for entropy in ([seed, block], [other_seed, other_block],
+                             np.array([seed, block], dtype=np.uint64),
+                             np.array([other_seed, other_block], dtype=np.uint64))]
+    assert np.array_equal(state[0], state[1]) and np.array_equal(state[2], state[3])
+
+
+@pytest.mark.parametrize("seed, block", [(0, 0), (9, 4), (2**64 - 1, 17)])
+def test_a_block_stream_is_a_spawned_child(seed, block):
+    child = np.random.SeedSequence(seed).spawn(block + 1)[block]
+    assert np.array_equal(block_generator(seed, block).standard_normal(8),
+                          np.random.Generator(np.random.SFC64(child)).standard_normal(8))
+
+
+@pytest.mark.parametrize("seed, low", [(-1, 2**64 - 1), (-5, 2**64 - 5), (2**64 + 3, 3)])
+def test_a_seed_is_taken_modulo_2_to_the_64(seed, low):
+    assert np.array_equal(block_generator(seed, 2).standard_normal(8),
+                          block_generator(low, 2).standard_normal(8))
+
+
+@pytest.mark.parametrize("seed_step, block_step", [(0, 1), (1, 0)], ids=["block", "seed"])
+def test_adjacent_streams_are_uncorrelated(seed_step, block_step):
+    # a block's first SAMPLE_BLOCK normals against the next block's, or the
+    # next seed's same block: each correlation has sd 1/sqrt(SAMPLE_BLOCK)
+    for k in range(8):
+        x = block_generator(k, k).standard_normal(SAMPLE_BLOCK)
+        y = block_generator(k + seed_step, k + block_step).standard_normal(SAMPLE_BLOCK)
+        assert abs(np.corrcoef(x, y)[0, 1]) < 5.0 / np.sqrt(SAMPLE_BLOCK)
+
+
 def test_pieces_are_the_rows_of_whole_blocks():
     # each block's stream continues from piece to piece: the pieces are the
     # rows of whole blocks drawn at once, and so are the states drawn from them
