@@ -57,7 +57,6 @@ from .mc import (
     gaussian_mi,
     gp_rate_closed_form,
     gp_rate_lambda_profile,
-    state_split_reduction,
     verify_decomposition_stats,
     verify_scheme_rate,
 )

@@ -29,6 +29,7 @@ from .errors import CcdpError, DegenerateCovariance, DomainError, InvalidSplit
 from .model import (
     SAMPLE_BLOCK,
     ChannelParams,
+    check_samples,
     decompose_states,
     normal_blocks,
     state_covariance,
@@ -47,8 +48,7 @@ class SimulationConfig:
     alpha_bar: float = 0.0   # fraction of power on the pre-coded layer
 
     def __post_init__(self):
-        if self.samples < 1000:
-            raise CcdpError(f"samples must be >= 1000, got {self.samples}")
+        check_samples(self.samples, self.seed, 1000, "samples")
         PowerSplit(self.alpha_bar)  # its check of alpha_bar
 
 
@@ -154,10 +154,9 @@ def gp_rate_closed_form(layer_power, c2, lam):
     return 0.5 * log2(num / den)
 
 
-# The moments drawn last, by (n, width, seed), least recently used first.  At
-# most _MOMENT_SLOTS are kept: 21 MB at the widest basis, 289 columns
-# (state_split_reduction at M = 16), and a few kB at the scheme's widths.
-# The lock makes each lookup and each store one step for concurrent callers.
+# The moments drawn last, by (n, width, seed), least recently used first: at
+# most _MOMENT_SLOTS, about 6 MB at the widest basis (a scheme's 154 columns at
+# M = 16).  The lock makes each lookup and store one step for concurrent callers.
 _MOMENTS = {}
 _MOMENT_SLOTS = 32
 _MOMENT_LOCK = Lock()
@@ -444,62 +443,9 @@ def gp_rate_lambda_profile(config, lambdas, receiver=1, threads=1):
 
 def verify_decomposition_stats(decomp, n, seed, threads=1):
     """Max absolute deviation of the empirical state covariance from its target."""
-    if n < 10_000:
-        raise CcdpError(f"need n >= 10000, got {n}")
+    check_samples(n, seed, 10_000)
     W, _ = decomp.mixing_matrix()
     W = W[:, np.any(W != 0.0, axis=0)]  # a latent of weight 0 is not drawn
     emp = W @ _second_moment(n, W.shape[1], seed, threads) @ W.T
     target = state_covariance(decomp.M, decomp.rho).entries
     return float(np.max(np.abs(emp - target)))
-
-
-def state_split_reduction(params, theta, n, seed):
-    """Check the split-and-cancel argument that shrinks the state gain.
-
-    States split as S = S_kept + S_known with S_kept ~ N(0, theta*Sigma) and
-    S_known ~ N(0, (1-theta)*Sigma) independent; cancelling c*S_known from
-    every output leaves a channel statistically equivalent to one with gain
-    c*sqrt(theta).  Returns the max absolute difference between the two
-    empirical (X, Y_1..Y_M) second-moment matrices, plus the analytic target.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must be in [0, 1], got {theta!r}")
-    M, P, c = params.M, params.P, params.c
-    W, _ = decompose_states(params).mixing_matrix()
-    K = W.shape[1]
-
-    # Original channel with split states: basis [x, kept latents, known
-    # latents, z].  The receiver subtracts the known part from its output.
-    dim_a = 1 + 2 * K + M
-    A = np.zeros((1 + M, dim_a))
-    A[0, 0] = sqrt(P)
-    for m in range(M):
-        y = np.zeros(dim_a)
-        y[0] = sqrt(P)
-        y[1:1 + K] = c * sqrt(theta) * W[m]
-        y[1 + K:1 + 2 * K] = c * sqrt(1.0 - theta) * W[m]
-        y[1 + 2 * K + m] = 1.0
-        known = np.zeros(dim_a)
-        known[1 + K:1 + 2 * K] = c * sqrt(1.0 - theta) * W[m]
-        A[m + 1] = y - known
-    cancelled = A @ _second_moment(n, dim_a, seed) @ A.T
-
-    # Channel with gain c*sqrt(theta) sampled directly, independent stream.
-    dim_b = 1 + K + M
-    B = np.zeros((1 + M, dim_b))
-    B[0, 0] = sqrt(P)
-    for m in range(M):
-        B[m + 1, 0] = sqrt(P)
-        B[m + 1, 1:1 + K] = c * sqrt(theta) * W[m]
-        B[m + 1, 1 + K + m] = 1.0
-    reduced = B @ _second_moment(n, dim_b, seed + 1) @ B.T
-
-    target = np.full((1 + M, 1 + M), P)
-    target[1:, 1:] += theta * params.c2 * (W @ W.T)
-    target[1:, 1:][np.diag_indices(M)] += 1.0
-    return {
-        "max_abs_difference": float(np.max(np.abs(cancelled - reduced))),
-        "max_abs_error_vs_analytic": float(
-            max(np.max(np.abs(cancelled - target)), np.max(np.abs(reduced - target)))),
-        "analytic": target,
-    }

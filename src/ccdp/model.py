@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleRho, InvalidGain, InvalidM, InvalidPower
+from .errors import CcdpError, InfeasibleRho, InvalidGain, InvalidM, InvalidPower
 
 # Tolerance for positive-semidefiniteness checks; the boundary rho = -1/(M-1)
 # is accepted (singular covariance, residual latent weight exactly 0).
@@ -244,6 +244,17 @@ def decompose_states(params):
         k: np.sqrt(max(v, 0.0)) for k, v in variances.items()})
 
 
+def check_samples(n, seed, least=1, name="n"):
+    """Raise CcdpError unless the sample count n (called ``name``) and the seed
+    are integers, Python or numpy ones but not bools, and n >= least.  A float
+    would fail later, in range() or in ``seed & _U64``."""
+    for label, value in ((name, n), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise CcdpError(f"{label} must be an integer, got {value!r}")
+    if n < least:
+        raise CcdpError(f"{name} must be >= {least}, got {n}")
+
+
 def block_generator(seed, block):
     """SFC64 generator for block ``block`` of the stream ``seed``: child
     ``block`` of ``SeedSequence(seed & _U64)``'s spawn tree.
@@ -275,8 +286,7 @@ def sample_states(decomp, n, seed):
     Deterministic for a fixed seed; the empirical covariance converges to the
     equicorrelation matrix as n grows.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_samples(n, seed)
     W, _ = decomp.mixing_matrix()
     out = np.empty((n, decomp.M))
     for row, rows in normal_blocks(n, W.shape[1], seed):

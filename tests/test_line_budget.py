@@ -13,7 +13,7 @@ BUDGET = 998
 CLI_BUDGET = 507
 
 # What mc.py holds now, as wc -l counts; like BUDGET, it only falls.
-MC_BUDGET = 505
+MC_BUDGET = 451
 
 
 def test_bounds_and_gaps_stay_within_their_line_budget():
@@ -26,4 +26,4 @@ def test_cli_stays_within_its_line_budget():
 
 
 def test_mc_stays_within_its_line_budget():
-    assert (SRC / "mc.py").read_bytes().count(b"\n") <= MC_BUDGET <= 505
+    assert (SRC / "mc.py").read_bytes().count(b"\n") <= MC_BUDGET <= 451

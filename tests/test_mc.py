@@ -20,7 +20,6 @@ from ccdp import (
     gp_rate_closed_form,
     gp_rate_lambda_profile,
     state_covariance,
-    state_split_reduction,
     verify_decomposition_stats,
     verify_scheme_rate,
 )
@@ -661,19 +660,38 @@ def test_decomposition_stats_rejects_tiny_n():
         verify_decomposition_stats(d, 5000, seed=1)
 
 
-def test_state_split_reduction_matches():
-    p = ChannelParams(3, 10.0, 2.0, 0.25)
-    n = 200_000
-    out = state_split_reduction(p, theta=0.4, n=n, seed=21)
-    target = out["analytic"]
-    # second-moment estimates have sd ~ sqrt((C_ii*C_jj + C_ij^2)/n) per
-    # entry; the difference of two independent runs is sqrt(2) larger
-    sd = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n)
-    assert out["max_abs_difference"] < 5.0 * sqrt(2.0) * sd.max()
-    assert out["max_abs_error_vs_analytic"] < 5.0 * sd.max()
-    # the analytic target is the reduced-gain channel's covariance
-    assert target[0, 0] == pytest.approx(10.0)
-    assert target[1, 1] == pytest.approx(10.0 + 0.4 * 4.0 + 1.0)
+@pytest.mark.parametrize("M,rho,theta", [(3, 0.25, 0.4), (5, -0.2, 0.7), (2, 0.9, 0.1),
+                                         (16, -0.05, 0.33)])
+def test_split_and_cancel_leaves_the_reduced_gain_channel(M, rho, theta):
+    # The outer bound's split-and-cancel step, with no draw: each state splits
+    # into sqrt(theta)*S_kept + sqrt(1-theta)*S_known over two copies of the
+    # latents, and every receiver cancels c*sqrt(1-theta)*S_known.  Basis of the
+    # split channel: [x, kept latents, known latents, z_1..z_M].
+    P, c = 10.0, 2.0
+    W, _ = decompose_states(ChannelParams(M, P, c, rho)).mixing_matrix()
+    K = W.shape[1]
+    assert np.all(np.any(W != 0.0, axis=0))  # every latent is live
+    kept = np.r_[0:1 + K, 1 + 2 * K:1 + 2 * K + M]
+    A = np.zeros((1 + M, 1 + 2 * K + M))
+    A[0, 0] = sqrt(P)
+    for m in range(M):
+        y = np.zeros(1 + 2 * K + M)
+        y[0] = sqrt(P)
+        y[1:1 + K] = c * sqrt(theta) * W[m]
+        y[1 + K:1 + 2 * K] = c * sqrt(1.0 - theta) * W[m]
+        y[1 + 2 * K + m] = 1.0
+        known = np.zeros_like(y)
+        known[1 + K:1 + 2 * K] = c * sqrt(1.0 - theta) * W[m]
+        A[1 + m] = y - known
+    # the reduced channel as the estimators build it: gain c*sqrt(theta), no
+    # pre-coded layer, so its live basis is [x, latents, z_1..z_M]
+    reduced = SchemeSystem(ChannelParams(M, P, c * sqrt(theta), rho), 0.0)
+    B = reduced.transform(["X_san"] + [f"Y_{m}" for m in range(1, M + 1)])
+    assert not np.any(np.delete(A, kept, axis=1))  # the known part is gone
+    assert np.array_equal(A[:, kept], B)
+    target = np.full((1 + M, 1 + M), P)
+    target[1:, 1:] += theta * c * c * state_covariance(M, rho).entries + np.eye(M)
+    assert np.max(np.abs(A @ A.T - target)) <= 1e-12 * np.max(np.abs(target))
 
 
 def test_simulation_config_validation():
@@ -681,12 +699,23 @@ def test_simulation_config_validation():
         SimulationConfig(params=ChannelParams(2, 1.0, 1.0, 0.0), samples=10)
     with pytest.raises(InvalidSplit):
         SimulationConfig(params=ChannelParams(2, 1.0, 1.0, 0.0), alpha_bar=1.2)
+    # numpy integers are integers
+    SimulationConfig(params=ChannelParams(2, 1.0, 1.0, 0.0), samples=np.int64(2000),
+                     seed=np.uint64(3))
 
 
-@pytest.mark.parametrize("over", [dict(samples=0), dict(samples=-5)])
+@pytest.mark.parametrize("over", [dict(samples=0), dict(samples=-5), dict(samples=1e6),
+                                  dict(samples=np.float64(2000)), dict(samples=True),
+                                  dict(seed=1.5), dict(seed="3"), dict(seed=False)])
 def test_simulation_config_errors_are_ccdp_errors(over):
     with pytest.raises(CcdpError):
         SimulationConfig(params=ChannelParams(2, 1.0, 1.0, 0.0), **over)
+
+
+@pytest.mark.parametrize("n,seed", [(1e6, 0), (10**4, 1.5), (np.float64(1e5), 2)])
+def test_decomposition_stats_rejects_non_integers(n, seed):
+    with pytest.raises(CcdpError):
+        verify_decomposition_stats(decompose_states(ChannelParams(2, 1.0, 1.0, 0.5)), n, seed)
 
 
 def test_delta_stderr_positive_and_scales():

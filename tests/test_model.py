@@ -549,7 +549,8 @@ def test_empirical_covariance_converges(M, rho):
     assert np.max(np.abs(emp - state_covariance(M, rho).entries)) < 0.01
 
 
-def test_sample_states_rejects_empty():
+@pytest.mark.parametrize("n,seed", [(0, 1), (2.0, 1), (10, 1.5)])
+def test_sample_states_rejects_empty_or_non_integer(n, seed):
     d = decompose_states(ChannelParams(2, 1.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        sample_states(d, 0, seed=1)
+    with pytest.raises(ccdp.CcdpError):
+        sample_states(d, n, seed=seed)
