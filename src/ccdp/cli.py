@@ -108,13 +108,12 @@ OPTION_TABLES = {
     "bounds": {**_POINT_OPTS, **_COMMON_OPTS,
                "format": _choice("text", "csv", "json")},
     "sweep": {**_GRID_OPTS, **_COMMON_OPTS,
-              "outer-variant": Opt(str, bounds.APPENDIX_FORM,
-                                   "outer bound variant for the sweep"),
+              "outer-variant": _choice(bounds.APPENDIX_FORM, "appendix",
+                                       bounds.APPENDIX_LOOSENED, bounds.THEOREM),
               "format": _choice("csv", "json")},
     "certify": {**_GRID_OPTS, **_COMMON_OPTS,
                 "theorem": _choice(*gaps.THEOREMS, required=True),
-                "variant": Opt(str, "appendix",
-                               "appendix or theorem-statement outer"),
+                "variant": _choice(*gaps._FAMILY),
                 "rows-out": Opt(str, None, "optional CSV path for the grid rows"),
                 "format": _choice("json", "csv")},
     "fig3": {"P": Opt(float, 10.0, "transmit power"),

@@ -210,7 +210,7 @@ class GapReport:
         return GapRow(M, P[p], sqrt(c2[j]), rhos[k], variant, **cells)
 
     def finalize(self):
-        """Recompute the certificate from the columns and the grid's axes."""
+        """Recompute the certificate and the warnings from the columns and the grid."""
         gap, small = self.columns["gap"], self.columns["small_regime"]
         regular = np.flatnonzero(~small)
         self.small_regime_rows = len(gap) - len(regular)
@@ -230,13 +230,21 @@ class GapReport:
             covered = all(np.all(ok[rows].reshape(len(self.grid.p_values), -1)[:P.size] | fine)
                           for *_, rows in _blocks(self.grid))
             self.certified = covered and self.max_gap <= limit
+        self.warnings = []  # rebuilt on each call, as every field above
         negatives = np.count_nonzero(gap < -GAP_TOL)
         if negatives:
             self.warnings.append(
                 f"{negatives} grid points have the outer bound below the inner "
                 f"bound (negative gap); the selected outer variant is not a "
-                f"valid upper bound there"
-            )
+                f"valid upper bound there")
+        # A theorem over any M evaluates the general-M statement, whose middle
+        # branch rises with the gain.
+        if self.theorem and _THEOREMS[self.theorem].M is None \
+                and self.grid.outer_variant == bounds.THEOREM:
+            self.warnings.append(
+                "theorem-statement outer: the middle branch increases with the "
+                "state gain, so it disagrees with the non-increasing appendix "
+                "form; certification is defined on the appendix form")
         return self
 
 
@@ -312,17 +320,8 @@ def certify_theorem(theorem, grid, variant_kind="appendix"):
         raise WrongModel(f"{theorem} applies to rho={row.rho} only, grid has "
                          f"{grid.rho_values or 'the feasible rho axis'}")
     grid = _with(grid, outer_variant=_FAMILY[variant_kind])
-    report = GapReport(grid, _evaluate_columns(grid, theorem),
-                       claimed_gap=row.gap, theorem=theorem).finalize()
-    # The general-M statement, which a theorem over any M evaluates, rises
-    # with the gain on its middle branch.
-    if grid.outer_variant == bounds.THEOREM and row.M is None:
-        report.warnings.append(
-            "theorem-statement outer: the middle branch increases with the "
-            "state gain, so it disagrees with the non-increasing appendix "
-            "form; certification is defined on the appendix form"
-        )
-    return report
+    return GapReport(grid, _evaluate_columns(grid, theorem),
+                     claimed_gap=row.gap, theorem=theorem).finalize()
 
 
 def fig3_curve(P, c_values):

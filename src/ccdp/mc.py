@@ -221,7 +221,7 @@ class SchemeSystem:
         self.params = params
         self.alpha_bar = float(alpha_bar)
         M, P, c, rho = params.M, params.P, params.c, params.rho
-        W, _ = decompose_states(params).mixing_matrix()
+        W = decompose_states(params).mixing_matrix()
         K = W.shape[1]
 
         def row():
@@ -246,7 +246,7 @@ class SchemeSystem:
         for m in range(M):
             rows[f"U_{m + 1}"] = x_pas + lam * c * rows[f"S_{m + 1}"]
         if rho > 0:  # the decomposition has a common latent
-            s_c = row(); s_c[2] = 1.0  # common latent is first in both kinds
+            s_c = row(); s_c[2] = 1.0  # the common latent is W's first column
             rows["S_c"] = s_c
             noise = ab_power + (1.0 - rho) * params.c2 + 1.0
             self.lam_common = a_power / (a_power + noise) if a_power > 0 else 0.0
@@ -441,11 +441,11 @@ def gp_rate_lambda_profile(config, lambdas, receiver=1, threads=1):
     return np.asarray(values)
 
 
-def verify_decomposition_stats(decomp, n, seed, threads=1):
+def verify_decomposition_stats(decomp, samples, seed, threads=1):
     """Max absolute deviation of the empirical state covariance from its target."""
-    check_samples(n, seed, 10_000)
-    W, _ = decomp.mixing_matrix()
+    check_samples(samples, seed, 10_000, "samples")
+    W = decomp.mixing_matrix()
     W = W[:, np.any(W != 0.0, axis=0)]  # a latent of weight 0 is not drawn
-    emp = W @ _second_moment(n, W.shape[1], seed, threads) @ W.T
+    emp = W @ _second_moment(samples, W.shape[1], seed, threads) @ W.T
     target = state_covariance(decomp.M, decomp.rho).entries
     return float(np.max(np.abs(emp - target)))

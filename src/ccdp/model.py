@@ -32,7 +32,7 @@ DRAW_ROWS = SAMPLE_BLOCK >> 3  # rows per drawn piece of a block
 # intermediate term of every bound, such as M*(P+1) and 1+P+c2+2c*sqrt(P), is finite.
 _MAX_M, _MAX_P, _MAX_C = 2 ** 53, 1e280, 1e140
 
-# Most latents of a state decomposition: M(M-1)/2 + M at M = 16, so any M <= 16
+# Most latents of a state decomposition: M(M+1)/2 at M = 16, so any M <= 16
 # is admitted for any rho.  A scheme's widest piece of draws (154 columns) is
 # then DRAW_ROWS x 154 doubles, about 9.6 MiB.
 _MAX_LATENTS = 136
@@ -40,7 +40,6 @@ _MAX_LATENTS = 136
 _U64 = (1 << 64) - 1
 
 # Decomposition kinds (fixed API tokens).
-TWO_USER_COMMON = "two-user-common"
 POSITIVE_COMMON = "positive-common"
 NEGATIVE_PAIRWISE = "negative-pairwise"
 
@@ -170,9 +169,6 @@ class StateDecomposition:
 
     kind selects the construction:
 
-    * ``two-user-common`` (M == 2): shared latent with weight a = sqrt(|rho|)
-      (sign-flipped on the second state for rho < 0) plus one private latent
-      of weight sqrt(1-|rho|) per state.
     * ``positive-common`` (rho >= 0): one common latent of weight sqrt(rho)
       plus per-state private latents of weight sqrt(1-rho).
     * ``negative-pairwise`` (rho < 0): one latent per unordered state pair,
@@ -190,19 +186,12 @@ class StateDecomposition:
     coefficients: dict  # latent-component label -> weight magnitude
 
     def mixing_matrix(self):
-        """Weights W (M x K) and latent labels so that S = W @ L, L ~ N(0, I_K)."""
-        M, rho = self.M, self.rho
-        if self.kind == TWO_USER_COMMON:
-            a = self.coefficients["common"]
-            b = self.coefficients["private"]
-            sgn = 1.0 if rho >= 0 else -1.0
-            W = np.array([[a, b, 0.0], [sgn * a, 0.0, b]])
-            labels = ["common", "private-1", "private-2"]
-        elif self.kind == POSITIVE_COMMON:
+        """Weights W (M x K) so that S = W @ L, L ~ N(0, I_K)."""
+        M = self.M
+        if self.kind == POSITIVE_COMMON:
             W = np.zeros((M, 1 + M))
             W[:, 0] = self.coefficients["common"]
             W[np.arange(M), 1 + np.arange(M)] = self.coefficients["private"]
-            labels = ["common"] + [f"private-{m + 1}" for m in range(M)]
         elif self.kind == NEGATIVE_PAIRWISE:
             pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
             W = np.zeros((M, len(pairs) + M))
@@ -211,37 +200,34 @@ class StateDecomposition:
                 W[i, k] = w
                 W[j, k] = -w
             W[np.arange(M), len(pairs) + np.arange(M)] = self.coefficients["residual"]
-            labels = [f"pair-{i + 1}{j + 1}" for i, j in pairs]
-            labels += [f"residual-{m + 1}" for m in range(M)]
         else:
             raise ValueError(f"unknown decomposition kind {self.kind!r}")
-        return W, labels
+        return W
 
     def gram(self):
         """Covariance implied by the weights, W @ W.T."""
-        W, _ = self.mixing_matrix()
+        W = self.mixing_matrix()
         return W @ W.T
 
 
 def decompose_states(params):
     """Decompose the state vector of ``params`` into independent latents.
 
-    M == 2 uses the shared-latent form; larger M uses the common-latent form
-    for rho >= 0 and the pairwise form for rho < 0.  Each weight is the root of
-    its variance clamped at 0, so a rho within FEASIBILITY_TOL beyond the
-    boundary gets the boundary's weights.  Past _MAX_LATENTS latents: InvalidM.
+    Every M uses the common-latent form for rho >= 0 and the pairwise form for
+    rho < 0.  Each weight is the root of its variance clamped at 0, so a rho
+    within FEASIBILITY_TOL beyond the boundary gets the boundary's weights.
+    Past _MAX_LATENTS latents: InvalidM.
     """
-    M, rho, r = params.M, params.rho, abs(params.rho)
-    latents = 3 if M == 2 else 1 + M if rho >= 0 else M * (M - 1) // 2 + M
+    M, rho = params.M, params.rho
+    latents = 1 + M if rho >= 0 else M * (M + 1) // 2
     if latents > _MAX_LATENTS:
         raise InvalidM(f"a state decomposition at M={M}, rho={rho!r} has {latents} "
                        f"latents, more than the limit {_MAX_LATENTS}")
     kind, variances = (
-        (TWO_USER_COMMON, {"common": r, "private": 1.0 - r}) if M == 2 else
         (POSITIVE_COMMON, {"common": rho, "private": 1.0 - rho}) if rho >= 0 else
-        (NEGATIVE_PAIRWISE, {"pairwise": r, "residual": 1.0 - (M - 1) * r}))
+        (NEGATIVE_PAIRWISE, {"pairwise": -rho, "residual": 1.0 + (M - 1) * rho}))
     return StateDecomposition(kind=kind, M=M, rho=rho, coefficients={
-        k: np.sqrt(max(v, 0.0)) for k, v in variances.items()})
+        k: np.sqrt(v if v > 0.0 else 0.0) for k, v in variances.items()})
 
 
 def check_samples(n, seed, least=1, name="n"):
@@ -287,7 +273,7 @@ def sample_states(decomp, n, seed):
     equicorrelation matrix as n grows.
     """
     check_samples(n, seed)
-    W, _ = decomp.mixing_matrix()
+    W = decomp.mixing_matrix()
     out = np.empty((n, decomp.M))
     for row, rows in normal_blocks(n, W.shape[1], seed):
         out[row:row + rows.shape[0]] = rows @ W.T

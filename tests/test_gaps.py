@@ -506,6 +506,18 @@ def test_th4_theorem_statement_reports_without_certifying():
     assert any("negative gap" in w for w in report.warnings)
 
 
+@pytest.mark.parametrize("theorem, count", [(None, 1), ("Th4", 2)])
+def test_finalize_again_leaves_the_warnings_as_they_were(theorem, count):
+    # the stated outer of M = 3 has negative gaps; Th4's statement also rises
+    grid = small_grid(m_values=(3,), p_values=tuple(np.logspace(0.5, 4, 8)),
+                      c2_values=tuple(np.logspace(0.5, 6, 8)), outer_variant=THEOREM)
+    report = (run_sweep(grid) if theorem is None else
+              certify_theorem(theorem, theorem_grid(theorem, grid), THEOREM))
+    warnings = list(report.warnings)
+    assert len(warnings) == count and "negative gap" in warnings[0]
+    assert report.finalize().warnings == warnings
+
+
 def test_certify_rejects_mismatched_grid():
     with pytest.raises(WrongModel):
         certify_theorem("Th3", small_grid())  # M=3 present

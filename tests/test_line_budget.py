@@ -7,10 +7,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ccdp"
 
 # What the two files hold now, as wc -l counts.  A change that pays lines back
 # lowers it; it never rises, and the aim is 947.
-BUDGET = 998
+BUDGET = 997
 
 # What cli.py holds now, as wc -l counts; like BUDGET, it only falls.
-CLI_BUDGET = 507
+CLI_BUDGET = 506
 
 # What mc.py holds now, as wc -l counts; like BUDGET, it only falls.
 MC_BUDGET = 451
@@ -18,11 +18,11 @@ MC_BUDGET = 451
 
 def test_bounds_and_gaps_stay_within_their_line_budget():
     lines = sum((SRC / name).read_bytes().count(b"\n") for name in ("bounds.py", "gaps.py"))
-    assert lines <= BUDGET <= 998
+    assert lines <= BUDGET <= 997
 
 
 def test_cli_stays_within_its_line_budget():
-    assert (SRC / "cli.py").read_bytes().count(b"\n") <= CLI_BUDGET <= 508
+    assert (SRC / "cli.py").read_bytes().count(b"\n") <= CLI_BUDGET <= 506
 
 
 def test_mc_stays_within_its_line_budget():

@@ -668,7 +668,7 @@ def test_split_and_cancel_leaves_the_reduced_gain_channel(M, rho, theta):
     # latents, and every receiver cancels c*sqrt(1-theta)*S_known.  Basis of the
     # split channel: [x, kept latents, known latents, z_1..z_M].
     P, c = 10.0, 2.0
-    W, _ = decompose_states(ChannelParams(M, P, c, rho)).mixing_matrix()
+    W = decompose_states(ChannelParams(M, P, c, rho)).mixing_matrix()
     K = W.shape[1]
     assert np.all(np.any(W != 0.0, axis=0))  # every latent is live
     kept = np.r_[0:1 + K, 1 + 2 * K:1 + 2 * K + M]

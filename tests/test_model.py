@@ -38,7 +38,6 @@ from ccdp.model import (
     NEGATIVE_PAIRWISE,
     POSITIVE_COMMON,
     SAMPLE_BLOCK,
-    TWO_USER_COMMON,
     block_generator,
     normal_blocks,
 )
@@ -375,11 +374,15 @@ def test_positive_common_weights():
     assert d.coefficients["private"] == pytest.approx(np.sqrt(0.75), abs=1e-15)
 
 
-def test_two_user_zero_rho_is_pure_private():
-    d = decompose_states(ChannelParams(2, 10.0, 1.0, 0.0))
-    assert d.kind == TWO_USER_COMMON
-    assert d.coefficients["common"] == 0.0
-    assert np.array_equal(d.gram(), np.eye(2))
+@pytest.mark.parametrize("rho", [-1.0, -0.6, -1e-300, -0.0, 0.0, 0.5, 1.0])
+def test_two_states_take_the_general_form_of_their_sign(rho):
+    # one latent of weight sqrt(|rho|), sign-flipped on the second state for
+    # rho < 0, and one private latent of weight sqrt(1-|rho|) per state
+    d = decompose_states(ChannelParams(2, 10.0, 1.0, rho))
+    a, b, sgn = np.sqrt(abs(rho)), np.sqrt(1.0 - abs(rho)), 1.0 if rho >= 0 else -1.0
+    assert np.array_equal(d.mixing_matrix(), [[a, b, 0.0], [sgn * a, 0.0, b]])
+    assert d.kind == (POSITIVE_COMMON if rho >= 0 else NEGATIVE_PAIRWISE)
+    assert not np.signbit(list(d.coefficients.values())).any()  # magnitudes, no -0.0
 
 
 def test_negative_pairwise_boundary_residual_zero():
@@ -400,17 +403,13 @@ def test_gram_reconstruction_numeric(M, rho):
 
 
 @pytest.mark.parametrize("M,kind", [
-    (2, TWO_USER_COMMON), (3, POSITIVE_COMMON), (5, POSITIVE_COMMON),
-    (3, NEGATIVE_PAIRWISE), (5, NEGATIVE_PAIRWISE),
+    (2, POSITIVE_COMMON), (3, POSITIVE_COMMON), (5, POSITIVE_COMMON),
+    (2, NEGATIVE_PAIRWISE), (3, NEGATIVE_PAIRWISE), (5, NEGATIVE_PAIRWISE),
 ])
 def test_gram_reconstruction_symbolic(M, kind):
     # exact, not merely numeric: the Gram must simplify to the covariance
     r = sp.symbols("r", positive=True)
-    if kind == TWO_USER_COMMON:
-        a, b = sp.sqrt(r), sp.sqrt(1 - r)
-        W = sp.Matrix([[a, b, 0], [a, 0, b]])
-        rho = r
-    elif kind == POSITIVE_COMMON:
+    if kind == POSITIVE_COMMON:
         W = sp.zeros(M, 1 + M)
         for m in range(M):
             W[m, 0] = sp.sqrt(r)
@@ -439,19 +438,12 @@ def test_decomposition_refuses_more_latents_than_the_limit(rho):
 
 def test_every_m_up_to_16_decomposes_for_any_rho():
     assert decompose_states(ChannelParams(16, 1.0, 1.0, -1.0 / 15)).gram().shape == (16, 16)
-    assert decompose_states(ChannelParams(135, 1.0, 1.0, 0.5)).mixing_matrix()[0].shape \
+    assert decompose_states(ChannelParams(135, 1.0, 1.0, 0.5)).mixing_matrix().shape \
         == (135, 136)
     with pytest.raises(InvalidM, match="M=17, rho=-0.01 has 153 latents, more than"):
         decompose_states(ChannelParams(17, 1.0, 1.0, -0.01))
     with pytest.raises(InvalidM, match="has 137 latents"):
         decompose_states(ChannelParams(136, 1.0, 1.0, 0.5))
-
-
-def test_negative_rho_uses_sign_flip_for_two_users():
-    d = decompose_states(ChannelParams(2, 1.0, 1.0, -0.6))
-    W, _ = d.mixing_matrix()
-    assert W[0, 0] > 0 > W[1, 0]
-    assert np.max(np.abs(d.gram() - state_covariance(2, -0.6).entries)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +523,7 @@ def test_pieces_are_the_rows_of_whole_blocks():
     # rows of whole blocks drawn at once, and so are the states drawn from them
     n, seed = 2 * SAMPLE_BLOCK + 5_003, 23
     d = decompose_states(ChannelParams(4, 1.0, 1.0, -0.2))
-    W, _ = d.mixing_matrix()
+    W = d.mixing_matrix()
     blocks = [block_generator(seed, b).standard_normal((rows, W.shape[1]))
               for b, rows in enumerate((SAMPLE_BLOCK, SAMPLE_BLOCK, n - 2 * SAMPLE_BLOCK))]
     pieces = list(normal_blocks(n, W.shape[1], seed))
