@@ -17,12 +17,12 @@ import json
 import sys
 from collections import namedtuple
 from dataclasses import asdict
-from math import log10, sqrt
+from math import isfinite, log10, sqrt
 
 import numpy as np
 
 from . import __version__, bounds, gaps, mc
-from .errors import CcdpError
+from .errors import CcdpError, InvalidGain
 from .model import ChannelParams, decompose_states
 
 # type converts flag and file text; a required option has no default
@@ -45,27 +45,19 @@ def count(text):
 
 
 def rho_values(text):
-    """'feasible' or a comma list of floats, checked and kept as given."""
-    if text != "feasible":
-        float_list(text)
-    return text
+    """None (the feasible axis) for 'feasible', else the comma list of floats."""
+    return None if text == "feasible" else float_list(text)
 
 
 def audit_families(text):
-    """The families a --families text names: 'optimized', 'all' or a comma list."""
+    """The families a --families text names, once each: 'optimized', 'all' or a list."""
     names = {"optimized": gaps.OPTIMIZED_FAMILIES, "all": tuple(gaps.AUDIT_FAMILIES)}.get(
-        text, tuple(t.strip() for t in text.split(",") if t.strip()))
+        text, tuple(dict.fromkeys(t.strip() for t in text.split(",") if t.strip())))
     unknown = set(names) - set(gaps.AUDIT_FAMILIES)
     if unknown:
         raise ValueError(f"unknown audit families {sorted(unknown)}; "
                          f"valid: {sorted(gaps.AUDIT_FAMILIES)}")
     return names
-
-
-def families(text):
-    """A --families text, checked by audit_families and kept as given."""
-    audit_families(text)
-    return text
 
 
 def _choice(*choices, required=False):
@@ -90,7 +82,7 @@ _GRID_OPTS = {
     "c2-min": Opt(float, 3.01, "squared-gain grid lower end"),
     "c2-max": Opt(float, 1e6, "squared-gain grid upper end"),
     "c2-points": Opt(count, 50, "log-spaced squared-gain grid points"),
-    "rho-values": Opt(rho_values, "feasible", "'feasible' or comma list of correlations"),
+    "rho-values": Opt(rho_values, None, "'feasible' (default) or comma list of correlations"),
     "rho-points": Opt(count, 13, "feasible correlations per M when rho-values=feasible"),
 }
 
@@ -103,17 +95,18 @@ _POINT_OPTS = {
 }
 
 _COMMON_OPTS = {"out": Opt(str, "-", "output path, '-' for stdout")}
+# Any spelling of an outer variant, read as the family it names.
+_VARIANT = Opt(gaps._FAMILY.__getitem__, bounds.APPENDIX_FORM, ", ".join(gaps._FAMILY))
 
 OPTION_TABLES = {
     "bounds": {**_POINT_OPTS, **_COMMON_OPTS,
                "format": _choice("text", "csv", "json")},
     "sweep": {**_GRID_OPTS, **_COMMON_OPTS,
-              "outer-variant": _choice(bounds.APPENDIX_FORM, "appendix",
-                                       bounds.APPENDIX_LOOSENED, bounds.THEOREM),
+              "outer-variant": _VARIANT,
               "format": _choice("csv", "json")},
     "certify": {**_GRID_OPTS, **_COMMON_OPTS,
                 "theorem": _choice(*gaps.THEOREMS, required=True),
-                "variant": _choice(*gaps._FAMILY),
+                "variant": _VARIANT,
                 "rows-out": Opt(str, None, "optional CSV path for the grid rows"),
                 "format": _choice("json", "csv")},
     "fig3": {"P": Opt(float, 10.0, "transmit power"),
@@ -132,7 +125,7 @@ OPTION_TABLES = {
                  "threads": Opt(count, 1, "Monte Carlo worker threads"),
                  "format": _choice("json")},
     "audit": {**_GRID_OPTS, **_COMMON_OPTS,
-              "families": Opt(families, "optimized",
+              "families": Opt(audit_families, gaps.OPTIMIZED_FAMILIES,
                               "'optimized', 'all' or comma list of families"),
               "format": _choice("csv", "json")},
 }
@@ -166,8 +159,8 @@ def read_config_file(path):
 
 def resolve_config(command, flag_values, file_values):
     """Merge defaults, config file and flags (flags win); one converter per
-    option turns the text of a flag or of a file line into its value, and a
-    text it rejects is a CcdpError naming the option."""
+    option turns the text of a flag or of a file line into the value the
+    command reads, and a text it rejects is a CcdpError naming the option."""
     table = OPTION_TABLES[command]
     unknown = [f"--{name}" for name in flag_values if name not in table]
     unknown += sorted(set(file_values) - set(table) - {"command"})
@@ -271,7 +264,8 @@ def _envelope(command, resolved, results, max_gap=None, certified=None, warnings
 
 def _params_from(opts, gain=None):
     """(ChannelParams, squared gain) of --c2 or --c, else of gain if set; --c, or
-    a negative --c2, is checked as the gain itself, as the grid axes check it."""
+    a negative --c2, is checked as the gain itself, as the grid axes check it,
+    and a --c2 beside it must agree with it and be finite."""
     c2, c = opts.get("c2"), opts.get("c")
     if c2 is None and c is None:
         if gain is None:
@@ -281,7 +275,11 @@ def _params_from(opts, gain=None):
         raise CcdpError(f"--c2 ({c2}) and --c ({c}) disagree")
     if c is None:
         c = sqrt(c2) if c2 >= 0 else c2
-    return ChannelParams(opts["M"], opts["P"], c, opts["rho"]), c * c if c2 is None else c2
+    params = ChannelParams(opts["M"], opts["P"], c, opts["rho"])
+    c2 = c * c if c2 is None else c2
+    if not isfinite(c2):  # NaN and +-inf pass the agreement test above
+        raise InvalidGain(f"c2 must be finite, got {c2!r}")
+    return params, c2
 
 
 def _log_axis(opts, name, axis):
@@ -297,12 +295,11 @@ def _log_axis(opts, name, axis):
 
 
 def _grid_from(opts):
-    rho_text = opts["rho-values"]
     return gaps.SweepGrid(
         m_values=opts["M-values"],
         p_values=_log_axis(opts, "P", "p_values"),
         c2_values=_log_axis(opts, "c2", "c2_values"),
-        rho_values=None if rho_text == "feasible" else float_list(rho_text),
+        rho_values=opts["rho-values"],
         rho_points=opts["rho-points"],
         outer_variant=opts.get("outer-variant", bounds.APPENDIX_FORM),
     )
@@ -443,8 +440,7 @@ def cmd_simulate(resolved):
 
 def cmd_audit(resolved):
     grid = _grid_from(resolved)
-    names = audit_families(resolved["families"])
-    violations = gaps.monotonicity_audit(grid, names)
+    violations = gaps.monotonicity_audit(grid, resolved["families"])
     if resolved["format"] == "json":
         results = [asdict(v) for v in violations]
         _write(_envelope("audit", resolved, results), resolved["out"])
@@ -454,7 +450,7 @@ def cmd_audit(resolved):
         lines += [f"{v.family},{v.M},{v.P!r},{v.rho!r},{v.c_low!r},"
                   f"{v.c_high!r},{v.increase!r}" for v in violations]
         _write("\n".join(lines) + "\n", resolved["out"])
-    print(f"audit: {len(violations)} violations over {len(names)} families",
+    print(f"audit: {len(violations)} violations over {len(resolved['families'])} families",
           file=sys.stderr)
     return 0
 

@@ -382,7 +382,7 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
     """
     calls = {}  # (M, the rho where its model holds): its families, one _plane call
     for M in grid.m_values:
-        for name in dict.fromkeys(families):  # a repeated family is scanned once
+        for name in dict.fromkeys(families):  # a repeated family: one scan, one report
             rhos = tuple(rho for rho in grid.rho_axis(M)
                          if bounds._applies(AUDIT_FAMILIES[name][0], M, rho))
             if rhos:
@@ -401,7 +401,7 @@ def monotonicity_audit(grid, families=OPTIMIZED_FAMILIES):
                 found[name].append(MonotonicityViolation(
                     name, M, P.item(i), rhos[j], c.item(k), c.item(k + 1),
                     increase.item(j, i, k)))
-    return [v for name in families for v in found[name]]
+    return [v for violations in found.values() for v in violations]
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,11 @@ HUGE = ("--P-min", "1e307", "--P-max", "1.5e308", "--c2-min", "1e300", "--c2-max
     (("bounds", "--M", "2", "--c", "-2"), "InvalidGain"),  # the gain, not squared
     (("simulate", "--M", "2", "--c", "-2"), "InvalidGain"),
     (("bounds", "--M", "2", "--c", "-2", "--c2", "4"), "InvalidGain"),
+    # a non-finite --c2 beside --c, after the checks of P and of the gain
+    *((("simulate", "--target", "san", "--M", "2", "--P", "10", "--c", "2", "--c2", c2,
+        "--alpha-bar", "0", "--samples", "1000"), "InvalidGain")
+      for c2 in ("nan", "inf", "-inf")),
+    (("bounds", "--M", "2", "--P", "-1", "--c", "2", "--c2", "nan"), "InvalidPower"),
     # a sweep or an audit that would report on no point
     (("sweep", "--M-values", "3", "--rho-values", "5", "--P-points", "1",
       "--c2-points", "1"), "InfeasibleRho"),

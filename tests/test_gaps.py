@@ -618,6 +618,18 @@ def test_audit_raw_outer_documents_violations():
     assert all(v.c_high > sqrt(11.0) for v in violations)
 
 
+def test_audit_reports_a_repeated_family_once():
+    # 5 P x 10 c2 points over the CLI's default ranges
+    g = SweepGrid((2,), tuple(np.logspace(np.log10(3.01), 4, 5)),
+                  tuple(np.logspace(np.log10(3.01), 6, 10)), (0.0,))
+    raw, stated = (monotonicity_audit(g, (name,))
+                   for name in ("outer-2-raw", "outer-2-theorem"))
+    assert len(raw) == 31
+    assert monotonicity_audit(g, ("outer-2-raw", "outer-2-raw")) == raw
+    assert monotonicity_audit(
+        g, ("outer-2-raw", "outer-2-theorem", "outer-2-raw")) == raw + stated
+
+
 def test_audit_theorem_statement_outer_violates():
     g = SweepGrid((4,), (10.0,),
                   tuple(np.logspace(np.log10(3.01), 3, 40)), (0.0,))

@@ -10,7 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ccdp"
 BUDGET = 997
 
 # What cli.py holds now, as wc -l counts; like BUDGET, it only falls.
-CLI_BUDGET = 506
+CLI_BUDGET = 502
 
 # What mc.py holds now, as wc -l counts; like BUDGET, it only falls.
 MC_BUDGET = 451
@@ -22,7 +22,7 @@ def test_bounds_and_gaps_stay_within_their_line_budget():
 
 
 def test_cli_stays_within_its_line_budget():
-    assert (SRC / "cli.py").read_bytes().count(b"\n") <= CLI_BUDGET <= 506
+    assert (SRC / "cli.py").read_bytes().count(b"\n") <= CLI_BUDGET <= 502
 
 
 def test_mc_stays_within_its_line_budget():
